@@ -32,6 +32,7 @@ from .graphcore import (
 from .miner import (
     CalibrationConfig,
     MinerConfig,
+    MinerError,
     MiningBudgetExceeded,
     Pattern,
     TransactionDB,
@@ -69,9 +70,12 @@ def _fail(message: str) -> int:
 
 def _time_budget(args) -> float:
     env = os.environ.get("OPMINER_TIME_BUDGET_S")
-    if env is not None:
+    if env is None:
+        return args.time_budget
+    try:
         return float(env)
-    return args.time_budget
+    except ValueError:
+        raise MinerError(f"OPMINER_TIME_BUDGET_S={env!r} is not a number") from None
 
 
 # --- document formats -------------------------------------------------------
@@ -210,8 +214,8 @@ def _resolve_threshold(args, db: TransactionDB, miner_config: MinerConfig) -> tu
 
 
 def cmd_mine(args) -> int:
-    miner_config = MinerConfig(time_budget_s=_time_budget(args))
     try:
+        miner_config = MinerConfig(time_budget_s=_time_budget(args))
         db = _load_db(args.inputs)
         if len(db) == 0:
             _write_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
@@ -219,8 +223,14 @@ def cmd_mine(args) -> int:
             print("patterns: 0")
             return OK
         threshold, header = _resolve_threshold(args, db, miner_config)
-    except (GraphError, RankError, OSError) as exc:
+    except (GraphError, MinerError, RankError, OSError) as exc:
         return _fail(str(exc))
+    except MiningBudgetExceeded:
+        _write_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
+        if args.patterns_out:
+            _write_json(patterns_to_doc([], 0, True), args.patterns_out)
+        print("warning: calibration exceeded the time budget; nothing mined", file=sys.stderr)
+        return BUDGET_EXCEEDED
 
     print(header)
     partial = False

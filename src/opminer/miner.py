@@ -1,30 +1,26 @@
 """Exact frequent connected subgraph mining over graph transactions.
 
-Pattern growth proceeds level by level: level k holds every frequent pattern
-with k edges (level 0 is single nodes), and level k+1 candidates are built by
-extending stored pattern embeddings one edge at a time. Support counts
-distinct transactions, never embeddings. Candidates are deduplicated by
-canonical code; the first generator of a code supplies its complete embedding
-set, since extending all embeddings of a direct subgraph by the missing edge
-reaches every embedding of the supergraph. The result is exactly the set of
-connected subgraphs (up to isomorphism) contained in at least ``threshold``
-transactions, linked into a subgraph lattice.
+Patterns grow depth-first in the style of gSpan: a pattern is its DFS code
+(``graphcore.canonical_code``), children append one edge on the rightmost
+path, and a child is kept only when its code is minimal, so every isomorphism
+class is grown once. Support counts distinct transactions, never embeddings.
+The result is exactly the set of connected subgraphs (up to isomorphism)
+contained in at least ``threshold`` transactions, linked into a subgraph
+lattice.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphcore import (
     CanonicalCode,
+    CodeEntry,
     LabeledGraph,
     canonical_code,
     connected_components,
-    find_embeddings,
 )
 
 
@@ -88,105 +84,9 @@ class Pattern:
 
 @dataclass(frozen=True)
 class MinerConfig:
-    """Knobs bounding a mining run; defaults suit desk-scale inputs.
-
-    ``max_embeddings_per_pattern`` caps stored embedding lists; patterns over
-    the cap fall back to re-enumerating embeddings on demand, trading time for
-    memory without affecting the mined set.
-    """
+    """Wall-clock budget of one mining run, in seconds."""
 
     time_budget_s: float = 300.0
-    max_pattern_edges: int | None = None
-    max_embeddings_per_pattern: int | None = None
-
-
-# internal: embeddings of one pattern, grouped per transaction id; an
-# embedding is a tuple of transaction node ids aligned with pattern node ids
-# 0..n-1. ``None`` means the store overflowed and embeddings are re-derived.
-_EmbStore = dict[int, list[tuple[int, ...]]]
-
-
-@dataclass
-class _Work:
-    graph: LabeledGraph
-    code: CanonicalCode | None  # filled once the candidate passes the threshold
-    tids: frozenset[int]
-    embeddings: _EmbStore | None
-
-
-def _stream_embeddings(pattern: LabeledGraph, txn: LabeledGraph) -> Iterator[tuple[int, ...]]:
-    order = [n for n, _ in pattern.nodes]
-    for mapping in find_embeddings(pattern, txn):
-        yield tuple(mapping[v] for v in order)
-
-
-def _embeddings_in(work: _Work, tid: int, txn: LabeledGraph) -> Iterator[tuple[int, ...]]:
-    if work.embeddings is not None:
-        yield from work.embeddings.get(tid, ())
-    else:
-        yield from _stream_embeddings(work.graph, txn)
-
-
-def _level0(db: TransactionDB) -> dict[str, _EmbStore]:
-    by_label: dict[str, _EmbStore] = {}
-    for tid, txn in enumerate(db.transactions):
-        for nid, label in txn.nodes:
-            by_label.setdefault(label, {}).setdefault(tid, []).append((nid,))
-    return by_label
-
-
-_PERM_KEY_LIMIT = 2000
-
-
-def _dedup_key(g: LabeledGraph) -> tuple:
-    """Complete isomorphism key for candidate deduplication.
-
-    Uses the permutation-minimum edge encoding within label classes when the
-    class sizes keep that cheap, falling back to the DFS canonical code
-    otherwise. The choice depends only on the label multiset, so every member
-    of an isomorphism class picks the same branch.
-    """
-    groups: dict[str, list[int]] = {}
-    for nid, label in g.nodes:
-        groups.setdefault(label, []).append(nid)
-    cost = 1
-    for ids in groups.values():
-        cost *= math.factorial(len(ids))
-        if cost > _PERM_KEY_LIMIT:
-            return ("dfs", canonical_code(g))
-    labels_sorted = sorted(groups)
-    label_tuple = tuple(l for l in labels_sorted for _ in groups[l])
-    best = None
-    for combo in itertools.product(
-        *(itertools.permutations(groups[l]) for l in labels_sorted)
-    ):
-        index: dict[int, int] = {}
-        pos = 0
-        for perm in combo:
-            for nid in perm:
-                index[nid] = pos
-                pos += 1
-        enc = tuple(sorted((index[s], index[d], l) for s, d, l in g.edges))
-        if best is None or enc < best:
-            best = enc
-    return ("perm", label_tuple, best)
-
-
-def _extend_one(
-    graph: LabeledGraph, desc: tuple, next_node_id: int
-) -> LabeledGraph:
-    """Pattern graph plus one descriptor edge (and node, for forward growth)."""
-    src, dst, elabel, new_label = desc
-    nodes = list(graph.nodes)
-    if src == -1:
-        nodes.append((next_node_id, new_label))
-        edge = (next_node_id, dst, elabel)
-    elif dst == -1:
-        nodes.append((next_node_id, new_label))
-        edge = (src, next_node_id, elabel)
-    else:
-        edge = (src, dst, elabel)
-    return LabeledGraph.of(nodes, list(graph.edges) + [edge])
 
 
 def _mine_raw(
@@ -197,7 +97,16 @@ def _mine_raw(
     trees_only: bool = False,
     max_nodes: int | None = None,
 ) -> list[tuple[LabeledGraph, CanonicalCode, int]]:
-    """Level-wise growth shared by full mining and the tree-restricted pass."""
+    """Depth-first growth shared by full mining and the tree-restricted pass.
+
+    A pattern is its DFS code; its graph numbers nodes by discovery index.
+    Projections map each discovery index to a transaction node, grouped per
+    transaction. Children extend the rightmost path only: backward edges from
+    the rightmost vertex to the path (none when ``trees_only``) and forward
+    edges from any path vertex (none once ``max_nodes`` nodes are reached).
+    A frequent child is kept only when its code is the minimal one, so each
+    isomorphism class is reached exactly once, by its canonical code.
+    """
     deadline = time.monotonic() + config.time_budget_s
     results: list[tuple[LabeledGraph, CanonicalCode, int]] = []
 
@@ -205,87 +114,63 @@ def _mine_raw(
         if time.monotonic() > deadline:
             raise MiningBudgetExceeded(config.time_budget_s, _finalize(results))
 
-    cap = config.max_embeddings_per_pattern
-    level0 = _level0(db)
-    frontier: list[_Work] = []
-    for label in sorted(level0):
-        store = level0[label]
-        tids = frozenset(store)
-        if len(tids) >= threshold:
-            g = LabeledGraph.of([(0, label)])
-            frontier.append(_Work(g, canonical_code(g), tids, store))
-    results.extend((w.graph, w.code, len(w.tids)) for w in frontier)
-
-    while frontier:
+    singles: dict[str, dict[int, list[tuple[int, ...]]]] = {}
+    for tid, txn in enumerate(db.transactions):
+        for nid, label in txn.nodes:
+            singles.setdefault(label, {}).setdefault(tid, []).append((nid,))
+    stack = [
+        (LabeledGraph.of([(0, label)]), CanonicalCode(label, ()), (0,), singles[label])
+        for label in sorted(singles, reverse=True)
+        if len(singles[label]) >= threshold
+    ]
+    while stack:
         check_budget()
-        candidates: dict[tuple, _Work] = {}
-        for work in sorted(frontier, key=lambda w: w.code.sort_key):
+        graph, code, rmpath, projections = stack.pop()
+        results.append((graph, code, len(projections)))
+        labels = graph.label_map
+        n = graph.n_nodes
+        r = rmpath[-1]
+        forward = max_nodes is None or n < max_nodes
+        ext: dict[CodeEntry, dict[int, list[tuple[int, ...]]]] = {}
+        for tid, embs in projections.items():
             check_budget()
-            if config.max_pattern_edges is not None and work.graph.n_edges >= config.max_pattern_edges:
+            txn = db.transactions[tid]
+            incident, tlabels = txn.incident, txn.label_map
+            for emb in embs:
+                if not trees_only:
+                    onpath = {emb[j]: j for j in rmpath[:-1]}
+                    for w, dflag, el in incident[emb[r]]:
+                        j = onpath.get(w)
+                        if j is None:
+                            continue
+                        if ((r, j, el) if dflag == 0 else (j, r, el)) in graph.edge_set:
+                            continue  # an edge the pattern already holds
+                        entry = (r, j, dflag, labels[r], el, labels[j])
+                        ext.setdefault(entry, {}).setdefault(tid, []).append(emb)
+                if not forward:
+                    continue
+                mapped = set(emb)
+                for i in rmpath:
+                    for w, dflag, el in incident[emb[i]]:
+                        if w in mapped:
+                            continue
+                        entry = (i, n, dflag, labels[i], el, tlabels[w])
+                        ext.setdefault(entry, {}).setdefault(tid, []).append(emb + (w,))
+        children = []
+        for entry, child_projections in ext.items():
+            if len(child_projections) < threshold:
                 continue
-            pat_nodes = [n for n, _ in work.graph.nodes]
-            next_id = max(pat_nodes) + 1
-            # descriptor -> per-tid extended embeddings
-            ext: dict[tuple, dict[int, list[tuple[int, ...]]]] = {}
-            for tid in sorted(work.tids):
-                check_budget()
-                txn = db.transactions[tid]
-                incident = txn.incident
-                labels = txn.label_map
-                for emb in _embeddings_in(work, tid, txn):
-                    image = dict(zip(pat_nodes, emb))
-                    inverse = {v: k for k, v in image.items()}
-                    covered = {
-                        (image[s], image[d], l) for s, d, l in work.graph.edges
-                    }
-                    for pnode, tnode in image.items():
-                        for other, dflag, el in incident[tnode]:
-                            triple = (tnode, other, el) if dflag == 0 else (other, tnode, el)
-                            if triple in covered:
-                                continue
-                            if other in inverse:
-                                if trees_only:
-                                    continue  # closing an edge creates a cycle
-                                # count each closing edge once, from its source side
-                                if dflag != 0:
-                                    continue
-                                desc = (pnode, inverse[other], el, "")
-                                new_emb = emb
-                            else:
-                                if max_nodes is not None and len(pat_nodes) >= max_nodes:
-                                    continue
-                                if dflag == 0:
-                                    desc = (pnode, -1, el, labels[other])
-                                else:
-                                    desc = (-1, pnode, el, labels[other])
-                                new_emb = emb + (other,)
-                            ext.setdefault(desc, {}).setdefault(tid, []).append(new_emb)
-            for desc in sorted(ext):
-                check_budget()
-                if len(ext[desc]) < threshold:
-                    continue  # cannot be frequent: tids come from one generator
-                grown = _extend_one(work.graph, desc, next_id)
-                key = _dedup_key(grown)
-                if key in candidates:
-                    continue  # first generator already supplied all embeddings
-                store: _EmbStore = {
-                    tid: sorted(set(embs)) for tid, embs in ext[desc].items()
-                }
-                total = sum(len(v) for v in store.values())
-                candidates[key] = _Work(
-                    grown,
-                    None,
-                    frozenset(store),
-                    None if cap is not None and total > cap else store,
-                )
-        frontier = []
-        for key in sorted(candidates):
-            work = candidates[key]
-            if len(work.tids) >= threshold:
-                work.code = canonical_code(work.graph)
-                frontier.append(work)
-        frontier.sort(key=lambda w: w.code.sort_key)
-        results.extend((w.graph, w.code, len(w.tids)) for w in frontier)
+            i, j, dflag, _, el, to_label = entry
+            nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
+            edge = (i, j, el) if dflag == 0 else (j, i, el)
+            child = LabeledGraph.of(nodes, graph.edges + (edge,))
+            child_code = CanonicalCode(code.root_label, code.entries + (entry,))
+            if canonical_code(child) != child_code:
+                continue  # reached again, by its minimal code, from another parent
+            child_rmpath = rmpath if j < i else rmpath[: rmpath.index(i) + 1] + (j,)
+            children.append((child, child_code, child_rmpath, child_projections))
+        children.sort(key=lambda c: c[1].sort_key, reverse=True)
+        stack.extend(children)
     return results
 
 

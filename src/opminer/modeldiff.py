@@ -205,7 +205,7 @@ def match(old: ModelVersion, new: ModelVersion) -> Correspondence:
     references = frozenset(
         ref
         for ref in old.references
-        if ref in set(new.references) and ref[0] in elements and ref[1] in elements
+        if ref in new.reference_set and ref[0] in elements and ref[1] in elements
     )
     return Correspondence(elements, references)
 

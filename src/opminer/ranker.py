@@ -1,19 +1,18 @@
-"""Compression scoring, dominated-pattern pruning and recommendation ranking.
+"""Compression scoring, closed-pattern pruning and recommendation ranking.
 
 A pattern's compression value is (support - 1) * (nodes + edges): how much
 the input shrinks when every occurrence but one stored definition is replaced
-by a reference. Pruning removes patterns dominated by a strict supergraph
-with equal support and at least equal compression; ranking sorts survivors by
-compression (or support, as the frequency baseline) with a deterministic
-tie-break.
+by a reference. Pruning keeps the closed patterns, those without a strict
+supergraph of equal support (which would compress at least as much); ranking
+sorts survivors by compression (or support, as the frequency baseline) with a
+deterministic tie-break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphcore import is_subgraph_isomorphic
 from .miner import Pattern
 
 MODES = ("compression", "frequency")
@@ -47,74 +46,18 @@ class RankedList:
         return len(self.items)
 
 
-def _strict_supergraphs_by_lattice(
-    patterns: Sequence[Pattern],
-) -> list[set[int]]:
-    """Per pattern: indices of strict supergraphs with the same support.
+def prune(patterns: Iterable[Pattern]) -> list[Pattern]:
+    """Keep the closed patterns: those no lattice parent matches in support.
 
-    Walks lattice parent links; supergraph chains with equal support at both
-    ends have equal support throughout (downward closure), so the walk can
-    stay inside the same-support region.
-    """
-    by_code = {p.code: i for i, p in enumerate(patterns)}
-    reachable: list[set[int]] = []
-    for p in patterns:
-        found: set[int] = set()
-        stack = [c for c in p.parents if c in by_code]
-        while stack:
-            code = stack.pop()
-            idx = by_code[code]
-            if idx in found:
-                continue
-            if patterns[idx].support != p.support:
-                continue
-            found.add(idx)
-            stack.extend(c for c in patterns[idx].parents if c in by_code)
-        reachable.append(found)
-    return reachable
-
-
-def _strict_supergraphs_by_isomorphism(
-    patterns: Sequence[Pattern],
-) -> list[set[int]]:
-    """Quadratic fallback for pattern sets without lattice links."""
-    out: list[set[int]] = []
-    for i, p in enumerate(patterns):
-        found = set()
-        for j, q in enumerate(patterns):
-            if i == j or q.support != p.support:
-                continue
-            if q.graph.size > p.graph.size and is_subgraph_isomorphic(p.graph, q.graph)[0]:
-                found.add(j)
-        out.append(found)
-    return out
-
-
-def prune(patterns: Iterable[Pattern], *, by_isomorphism: bool = False) -> list[Pattern]:
-    """Drop every pattern dominated by an equal-support strict supergraph.
-
-    A pattern g is removed when some strict supergraph in the set has the
-    same support and a compression value at least compr(g). The supergraph
-    relation is taken from lattice parent links (complete for mined sets);
-    ``by_isomorphism`` switches to full subgraph-isomorphism checks for
-    externally assembled sets. One-shot over the input set, hence idempotent.
+    A strict supergraph with equal support is larger, hence at least as
+    compressing, so it dominates. By downward closure such a supergraph
+    exists exactly when a direct supergraph (a lattice parent) has equal
+    support, so only parent links are read; they are complete for mined
+    sets. One-shot over the input set, hence idempotent.
     """
     plist = list(patterns)
-    supers = (
-        _strict_supergraphs_by_isomorphism(plist)
-        if by_isomorphism
-        else _strict_supergraphs_by_lattice(plist)
-    )
-    comprs = [compression(p) for p in plist]
-    keep = []
-    for i, p in enumerate(plist):
-        dominated = any(
-            plist[j].support == p.support and comprs[i] <= comprs[j]
-            for j in supers[i]
-        )
-        if not dominated:
-            keep.append(p)
-    return keep
+    support = {p.code: p.support for p in plist}
+    return [p for p in plist if all(support.get(c) != p.support for c in p.parents)]
 
 
 def rank(patterns: Iterable[Pattern], mode: str = "compression") -> RankedList:

@@ -236,7 +236,6 @@ class SimConfig:
         default_factory=lambda: dict(DEFAULT_INSTANCE_COUNTS)
     )
     core_weights: tuple[float, ...] | None = None
-    max_site_retries: int = 8
 
     def __post_init__(self) -> None:
         if self.d < 1:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import opminer
 from opminer.cli import main
 from opminer.graphcore import loads_transactions
 from opminer.modeldiff import save_model
@@ -113,6 +117,46 @@ class TestMine:
         main(["mine", str(scg_file), "--out", str(out1), "--threshold", "3"])
         main(["mine", str(scg_file), "--out", str(out2), "--threshold", "3"])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+SRC_DIR = Path(opminer.__file__).resolve().parents[1]
+
+# (case, input file text or "scg" for the fig-pair database or None for a
+# missing file, environment, extra arguments, documented exit code)
+MINE_EXIT_CODES = [
+    ("ok", "scg", {}, ["--threshold", "3"], 0),
+    ("missing input", None, {}, [], 2),
+    ("malformed transaction", "t # 0\nv 0\n", {}, [], 2),
+    ("disconnected transaction", "t # 0\nv 0 a\nv 1 b\n", {}, [], 2),
+    ("non-numeric budget", "scg", {"OPMINER_TIME_BUDGET_S": "abc"}, [], 2),
+    ("two threshold modes", "scg", {}, ["--calibrate", "--threshold", "3"], 2),
+    ("budget out while mining", "scg", {"OPMINER_TIME_BUDGET_S": "0"},
+     ["--threshold", "3"], 3),
+    ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "text, env, extra, expected", [row[1:] for row in MINE_EXIT_CODES],
+    ids=[row[0] for row in MINE_EXIT_CODES],
+)
+def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
+    source = tmp_path / "input.txt"
+    if text == "scg":
+        source = scg_file
+    elif text is not None:
+        source.write_text(text, encoding="utf-8")
+    out = tmp_path / "ranked.json"
+    run_env = {k: v for k, v in os.environ.items() if k != "OPMINER_TIME_BUDGET_S"}
+    run_env.update(env, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opminer.cli", "mine", str(source), "--out", str(out), *extra],
+        env=run_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected in (0, 3):
+        assert json.loads(out.read_text())["partial"] is (expected == 3)
 
 
 class TestRankAndRules:

@@ -240,3 +240,78 @@ class TestTransactionFormat:
             for _ in range(rng.randint(1, 4))
         ]
         assert loads_transactions(dumps_transactions(graphs)) == graphs
+
+
+def random_multi_digraph(rng, n_nodes):
+    """Connected labelled digraph with antiparallel and parallel edge pairs."""
+    nodes = [(i, rng.choice("AB")) for i in range(n_nodes)]
+    edges = set()
+    for v in range(1, n_nodes):
+        u = rng.randrange(v)
+        edges.add((u, v, rng.choice("xy")) if rng.random() < 0.5 else (v, u, rng.choice("xy")))
+    for _ in range(rng.randint(2, n_nodes // 2 + 2)):
+        s, d, label = rng.choice(sorted(edges))
+        kind = rng.random()
+        if kind < 0.35:
+            edges.add((d, s, rng.choice("xy")))  # antiparallel
+        elif kind < 0.7:
+            edges.add((s, d, "y" if label == "x" else "x"))  # parallel, other label
+        else:
+            a, b = rng.sample(range(n_nodes), 2)
+            edges.add((a, b, rng.choice("xy")))
+    return LabeledGraph.of(nodes, edges)
+
+
+def mutate_once(rng, g):
+    """Copy differing in one node label, one edge label or one edge direction."""
+    nodes, edges = dict(g.nodes), set(g.edges)
+    kind = rng.randrange(3)
+    if kind == 0:
+        nid = rng.choice(sorted(nodes))
+        nodes[nid] = "B" if nodes[nid] == "A" else "A"
+    else:
+        s, d, label = rng.choice(sorted(edges))
+        edges.discard((s, d, label))
+        edges.add((s, d, "y" if label == "x" else "x") if kind == 1 else (d, s, label))
+    return LabeledGraph.of(nodes, edges)
+
+
+def shuffled_ids(rng, g):
+    ids = [n for n, _ in g.nodes]
+    fresh = [100 + i for i in range(len(ids))]
+    rng.shuffle(fresh)
+    return g.relabel_ids(dict(zip(ids, fresh)))
+
+
+def networkx_isomorphic(a, b):
+    import networkx as nx
+
+    def as_nx(g):
+        h = nx.DiGraph()
+        h.add_nodes_from((n, {"label": label}) for n, label in g.nodes)
+        for s, d, label in g.edges:
+            if h.has_edge(s, d):
+                h[s][d]["labels"] |= {label}
+            else:
+                h.add_edge(s, d, labels=frozenset({label}))
+        return h
+
+    return nx.is_isomorphic(
+        as_nx(a), as_nx(b),
+        node_match=lambda x, y: x["label"] == y["label"],
+        edge_match=lambda x, y: x["labels"] == y["labels"],
+    )
+
+
+class TestCanonicalCodeAgainstNetworkx:
+    """VF2 isomorphism as a second oracle, on graphs beyond brute force."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_code_equality_iff_vf2_isomorphic(self, seed):
+        rng = random.Random(7000 + seed)
+        a = random_multi_digraph(rng, rng.randint(7, 12))
+        copy = shuffled_ids(rng, a)
+        assert networkx_isomorphic(a, copy)
+        assert canonical_code(a) == canonical_code(copy)
+        for b in (shuffled_ids(rng, mutate_once(rng, a)), random_multi_digraph(rng, a.n_nodes)):
+            assert (canonical_code(a) == canonical_code(b)) == networkx_isomorphic(a, b)

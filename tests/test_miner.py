@@ -1,7 +1,10 @@
+import itertools
 import random
+import types
 
 import pytest
 
+from opminer import miner
 from opminer.graphcore import LabeledGraph, canonical_code
 from opminer.miner import (
     CalibrationConfig,
@@ -178,18 +181,24 @@ class TestBudgetAndCaps:
             mine(db, 1, config=MinerConfig(time_budget_s=0.02))
         assert isinstance(exc_info.value.partial, list)
 
-    def test_max_pattern_edges(self):
-        db = TransactionDB.of([edge_graph() for _ in range(2)])
-        patterns = mine(db, 2, config=MinerConfig(max_pattern_edges=0))
-        assert all(p.graph.n_edges == 0 for p in patterns)
-
-    def test_embedding_cap_does_not_change_result(self):
-        rng = random.Random(13)
+    @pytest.mark.parametrize("ticks", [3, 20, 80])
+    def test_partial_patterns_are_exact(self, ticks, monkeypatch):
+        # depth-first growth stops mid-lattice, so partial results are not
+        # whole levels; every pattern they hold must still be exact. A clock
+        # that advances one second per reading makes the stop deterministic.
+        rng = random.Random(11)
         txns = [random_connected_graph(rng, 5, 2) for _ in range(4)]
         db = TransactionDB.of(txns)
-        full = mine(db, 2)
-        capped = mine(db, 2, config=MinerConfig(max_embeddings_per_pattern=1))
-        assert mined_as_pairs(full) == mined_as_pairs(capped)
+        full = {p.code: p.support for p in mine(db, 2)}
+        clock = itertools.count()
+        fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
+        monkeypatch.setattr(miner, "time", fake_time)
+        with pytest.raises(MiningBudgetExceeded) as exc_info:
+            mine(db, 2, config=MinerConfig(time_budget_s=ticks))
+        partial = exc_info.value.partial
+        assert 0 < len(partial) < len(full)
+        for p in partial:
+            assert full[p.code] == p.support
 
 
 class TestCalibration:

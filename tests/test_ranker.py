@@ -110,17 +110,6 @@ class TestPrune:
         once = prune(patterns)
         assert prune(once) == once
 
-    def test_isomorphism_fallback_equals_lattice_route(self):
-        rng = random.Random(99)
-        txns = [random_connected_graph(rng, 4, 2) for _ in range(4)]
-        patterns = mine(TransactionDB.of(txns), 2)
-        via_lattice = prune(patterns)
-        stripped = [
-            Pattern(p.graph, p.code, p.support) for p in patterns
-        ]
-        via_iso = prune(stripped, by_isomorphism=True)
-        assert [p.code for p in via_lattice] == [p.code for p in via_iso]
-
     def test_no_survivor_dominated(self):
         rng = random.Random(123)
         txns = [random_connected_graph(rng, 5, 2) for _ in range(5)]
