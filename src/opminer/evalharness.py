@@ -112,7 +112,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class ThresholdSpec:
     """fixed: absolute support; relative: ceil(value * |db|); calibrate:
-    frequent-subtree pre-pass."""
+    ``calibrate_threshold``'s best-first frequent-subtree search."""
 
     mode: str = "calibrate"
     value: float | None = None

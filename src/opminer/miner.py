@@ -11,9 +11,11 @@ lattice.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphcore import (
     CanonicalCode,
@@ -89,6 +91,87 @@ class MinerConfig:
     time_budget_s: float = 300.0
 
 
+# a growth node: pattern graph, its DFS code, rightmost path, projections
+_Node = tuple[LabeledGraph, CanonicalCode, tuple[int, ...], dict[int, list[tuple[int, ...]]]]
+
+
+def _seeds(db: TransactionDB, threshold: int) -> list[_Node]:
+    """Single-node patterns contained in at least ``threshold`` transactions."""
+    singles: dict[str, dict[int, list[tuple[int, ...]]]] = {}
+    for tid, txn in enumerate(db.transactions):
+        for nid, label in txn.nodes:
+            singles.setdefault(label, {}).setdefault(tid, []).append((nid,))
+    return [
+        (LabeledGraph.of([(0, label)]), CanonicalCode(label, ()), (0,), singles[label])
+        for label in sorted(singles, reverse=True)
+        if len(singles[label]) >= threshold
+    ]
+
+
+def _children(
+    db: TransactionDB,
+    node: _Node,
+    threshold: int,
+    trees_only: bool,
+    max_nodes: int | None,
+    check_budget: Callable[[], None],
+) -> list[_Node]:
+    """Minimal-code one-edge extensions of ``node`` with support >= threshold.
+
+    A pattern's graph numbers nodes by discovery index. Projections map each
+    discovery index to a transaction node, grouped per transaction. Children
+    extend the rightmost path only: backward edges from the rightmost vertex
+    to the path (none when ``trees_only``) and forward edges from any path
+    vertex (none once ``max_nodes`` nodes are reached). A frequent child is
+    kept only when its code is the minimal one, so each isomorphism class is
+    reached exactly once, by its canonical code.
+    """
+    graph, code, rmpath, projections = node
+    labels = graph.label_map
+    n = graph.n_nodes
+    r = rmpath[-1]
+    forward = max_nodes is None or n < max_nodes
+    ext: dict[CodeEntry, dict[int, list[tuple[int, ...]]]] = {}
+    for tid, embs in projections.items():
+        check_budget()
+        txn = db.transactions[tid]
+        incident, tlabels = txn.incident, txn.label_map
+        for emb in embs:
+            if not trees_only:
+                onpath = {emb[j]: j for j in rmpath[:-1]}
+                for w, dflag, el in incident[emb[r]]:
+                    j = onpath.get(w)
+                    if j is None:
+                        continue
+                    if ((r, j, el) if dflag == 0 else (j, r, el)) in graph.edge_set:
+                        continue  # an edge the pattern already holds
+                    entry = (r, j, dflag, labels[r], el, labels[j])
+                    ext.setdefault(entry, {}).setdefault(tid, []).append(emb)
+            if not forward:
+                continue
+            mapped = set(emb)
+            for i in rmpath:
+                for w, dflag, el in incident[emb[i]]:
+                    if w in mapped:
+                        continue
+                    entry = (i, n, dflag, labels[i], el, tlabels[w])
+                    ext.setdefault(entry, {}).setdefault(tid, []).append(emb + (w,))
+    children = []
+    for entry, child_projections in ext.items():
+        if len(child_projections) < threshold:
+            continue
+        i, j, dflag, _, el, to_label = entry
+        nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
+        edge = (i, j, el) if dflag == 0 else (j, i, el)
+        child = LabeledGraph.of(nodes, graph.edges + (edge,))
+        child_code = CanonicalCode(code.root_label, code.entries + (entry,))
+        if canonical_code(child) != child_code:
+            continue  # reached again, by its minimal code, from another parent
+        child_rmpath = rmpath if j < i else rmpath[: rmpath.index(i) + 1] + (j,)
+        children.append((child, child_code, child_rmpath, child_projections))
+    return children
+
+
 def _mine_raw(
     db: TransactionDB,
     threshold: int,
@@ -97,15 +180,9 @@ def _mine_raw(
     trees_only: bool = False,
     max_nodes: int | None = None,
 ) -> list[tuple[LabeledGraph, CanonicalCode, int]]:
-    """Depth-first growth shared by full mining and the tree-restricted pass.
+    """Every frequent pattern as (graph, code, support), grown depth-first.
 
-    A pattern is its DFS code; its graph numbers nodes by discovery index.
-    Projections map each discovery index to a transaction node, grouped per
-    transaction. Children extend the rightmost path only: backward edges from
-    the rightmost vertex to the path (none when ``trees_only``) and forward
-    edges from any path vertex (none once ``max_nodes`` nodes are reached).
-    A frequent child is kept only when its code is the minimal one, so each
-    isomorphism class is reached exactly once, by its canonical code.
+    ``trees_only`` and ``max_nodes`` restrict growth as in ``_children``.
     """
     deadline = time.monotonic() + config.time_budget_s
     results: list[tuple[LabeledGraph, CanonicalCode, int]] = []
@@ -114,61 +191,13 @@ def _mine_raw(
         if time.monotonic() > deadline:
             raise MiningBudgetExceeded(config.time_budget_s, _finalize(results))
 
-    singles: dict[str, dict[int, list[tuple[int, ...]]]] = {}
-    for tid, txn in enumerate(db.transactions):
-        for nid, label in txn.nodes:
-            singles.setdefault(label, {}).setdefault(tid, []).append((nid,))
-    stack = [
-        (LabeledGraph.of([(0, label)]), CanonicalCode(label, ()), (0,), singles[label])
-        for label in sorted(singles, reverse=True)
-        if len(singles[label]) >= threshold
-    ]
+    stack = _seeds(db, threshold)
     while stack:
         check_budget()
-        graph, code, rmpath, projections = stack.pop()
+        node = stack.pop()
+        graph, code, _, projections = node
         results.append((graph, code, len(projections)))
-        labels = graph.label_map
-        n = graph.n_nodes
-        r = rmpath[-1]
-        forward = max_nodes is None or n < max_nodes
-        ext: dict[CodeEntry, dict[int, list[tuple[int, ...]]]] = {}
-        for tid, embs in projections.items():
-            check_budget()
-            txn = db.transactions[tid]
-            incident, tlabels = txn.incident, txn.label_map
-            for emb in embs:
-                if not trees_only:
-                    onpath = {emb[j]: j for j in rmpath[:-1]}
-                    for w, dflag, el in incident[emb[r]]:
-                        j = onpath.get(w)
-                        if j is None:
-                            continue
-                        if ((r, j, el) if dflag == 0 else (j, r, el)) in graph.edge_set:
-                            continue  # an edge the pattern already holds
-                        entry = (r, j, dflag, labels[r], el, labels[j])
-                        ext.setdefault(entry, {}).setdefault(tid, []).append(emb)
-                if not forward:
-                    continue
-                mapped = set(emb)
-                for i in rmpath:
-                    for w, dflag, el in incident[emb[i]]:
-                        if w in mapped:
-                            continue
-                        entry = (i, n, dflag, labels[i], el, tlabels[w])
-                        ext.setdefault(entry, {}).setdefault(tid, []).append(emb + (w,))
-        children = []
-        for entry, child_projections in ext.items():
-            if len(child_projections) < threshold:
-                continue
-            i, j, dflag, _, el, to_label = entry
-            nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
-            edge = (i, j, el) if dflag == 0 else (j, i, el)
-            child = LabeledGraph.of(nodes, graph.edges + (edge,))
-            child_code = CanonicalCode(code.root_label, code.entries + (entry,))
-            if canonical_code(child) != child_code:
-                continue  # reached again, by its minimal code, from another parent
-            child_rmpath = rmpath if j < i else rmpath[: rmpath.index(i) + 1] + (j,)
-            children.append((child, child_code, child_rmpath, child_projections))
+        children = _children(db, node, threshold, trees_only, max_nodes, check_budget)
         children.sort(key=lambda c: c[1].sort_key, reverse=True)
         stack.extend(children)
     return results
@@ -244,10 +273,11 @@ def mine(
 class CalibrationConfig:
     """Threshold search bounds: smallest t whose frequent-subtree count fits.
 
-    Counts frequent subtrees with node count in ``size_range`` per candidate
-    threshold (one exact tree-restricted pass at ``t_min``) and returns the
-    first t in [t_min, t_max] keeping the count at or under ``budget``;
-    ``t_max`` falls back to the transaction count when unset.
+    The calibrated threshold is the smallest t in [t_min, t_max] at which at
+    most ``budget`` subtrees with node count in ``size_range`` occur in t or
+    more transactions, or ``t_max`` when none is; ``t_max`` falls back to the
+    transaction count when unset, and a ``t_max`` below ``t_min`` gives
+    ``t_min``.
     """
 
     t_min: int = 2
@@ -256,23 +286,67 @@ class CalibrationConfig:
     budget: int = 100
     miner: MinerConfig = field(default_factory=MinerConfig)
 
+    def __post_init__(self) -> None:
+        if self.t_min < 1:
+            raise MinerError("calibration t_min must be a positive integer")
+        if self.budget < 0:
+            raise MinerError("calibration budget must not be negative")
+        lo, hi = self.size_range
+        if not 1 <= lo <= hi:
+            raise MinerError(f"calibration size_range {self.size_range} breaks 1 <= lo <= hi")
+
 
 def calibrate_threshold(db: TransactionDB, config: CalibrationConfig = CalibrationConfig()) -> int:
-    """Pick the mining threshold via an exact frequent-subtree pre-pass."""
+    """Pick the mining threshold in one best-first pass over frequent subtrees.
+
+    Top-k mining with a rising threshold (Han, Wang, Lu & Tzvetkov, ICDM
+    2002). Subtrees grow from a max-heap keyed on support, so they leave it in
+    non-increasing support order (a child never has more support than its
+    parent). The threshold rises from ``t_min`` to one above the support of
+    the (budget+1)-th most frequent in-range subtree found so far; children
+    below it are never pushed, and the search ends once the heap holds
+    nothing at or above it. The result equals scanning t upward over every
+    subtree mined at ``t_min``. Raises MiningBudgetExceeded, with an empty
+    ``partial``, past the time budget.
+    """
     if len(db) == 0:
         raise MinerError("cannot calibrate on an empty transaction database")
     t_max = len(db) if config.t_max is None else config.t_max
     if t_max < config.t_min:
         return config.t_min
     lo, hi = config.size_range
-    raw = _mine_raw(
-        db, config.t_min, config.miner, trees_only=True, max_nodes=hi
-    )
-    supports = [s for g, _, s in raw if lo <= g.n_nodes <= hi]
-    for t in range(config.t_min, t_max + 1):
-        if sum(1 for s in supports if s >= t) <= config.budget:
-            return t
-    return t_max
+    deadline = time.monotonic() + config.miner.time_budget_s
+
+    def check_budget() -> None:
+        if time.monotonic() > deadline:
+            raise MiningBudgetExceeded(config.miner.time_budget_s, [])
+
+    t = config.t_min
+    in_range: list[int] = []  # min-heap: supports >= t of in-range subtrees seen
+    heap: list[tuple[int, int, _Node]] = []
+    tie = itertools.count()
+
+    def push(node: _Node) -> None:
+        nonlocal t
+        support = len(node[3])
+        if support < t:
+            return
+        heapq.heappush(heap, (-support, next(tie), node))
+        if lo <= node[0].n_nodes <= hi:
+            heapq.heappush(in_range, support)
+            if len(in_range) > config.budget:
+                t = heapq.heappop(in_range) + 1
+                while in_range and in_range[0] < t:
+                    heapq.heappop(in_range)
+
+    for node in _seeds(db, t):
+        push(node)
+    while heap and -heap[0][0] >= t:
+        check_budget()
+        node = heapq.heappop(heap)[2]
+        for child in _children(db, node, t, True, hi, check_budget):
+            push(child)
+    return min(t, t_max)
 
 
 def size_at_threshold(db: TransactionDB, threshold: int) -> int:

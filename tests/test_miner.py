@@ -283,6 +283,124 @@ class TestCalibration:
         assert calibrate_threshold(db, CalibrationConfig()) == golden["threshold"]
 
 
+def calibrated_by_definition(supports, config, n_transactions):
+    """Smallest t in [t_min, t_max] keeping at most ``budget`` in-range
+    subtree classes at support >= t, scanned upward; ``supports`` holds the
+    support of every in-range class."""
+    t_max = n_transactions if config.t_max is None else config.t_max
+    if t_max < config.t_min:
+        return config.t_min
+    for t in range(config.t_min, t_max + 1):
+        if sum(1 for s in supports if s >= t) <= config.budget:
+            return t
+    return t_max
+
+
+def calibration_configs(rng, n_transactions):
+    """Fixed edge cases (budget 0, t_min 1, t_max below the answer, size_range
+    lower bounds 1 to 3) plus random configs."""
+    configs = [
+        CalibrationConfig(t_min=1, size_range=(1, 5), budget=0),
+        CalibrationConfig(t_min=1, size_range=(1, 3), budget=0, t_max=1),
+        CalibrationConfig(t_min=2, size_range=(2, 4), budget=3),
+        CalibrationConfig(t_min=1, size_range=(3, 5), budget=1),
+        CalibrationConfig(t_min=3, size_range=(1, 2), budget=2, t_max=2),
+    ]
+    for _ in range(6):
+        lo = rng.randint(1, 3)
+        configs.append(
+            CalibrationConfig(
+                t_min=rng.randint(1, 3),
+                t_max=rng.choice([None, rng.randint(1, n_transactions)]),
+                size_range=(lo, rng.randint(lo, 5)),
+                budget=rng.randint(0, 8),
+            )
+        )
+    return configs
+
+
+class TestCalibrationSearch:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_subtree_oracle(self, seed):
+        rng = random.Random(3000 + seed)
+        txns = [
+            random_connected_graph(rng, rng.randint(1, 5), n_labels=2)
+            for _ in range(rng.randint(1, 6))
+        ]
+        db = TransactionDB.of(txns)
+        # oracle: every subtree class up to 5 nodes with its transactions,
+        # bucketed by label multisets so that only candidates are compared
+        buckets: dict[tuple, list[tuple[LabeledGraph, set[int]]]] = {}
+        for tid, txn in enumerate(txns):
+            for sub in connected_subtrees_oracle(txn, 5):
+                key = (
+                    tuple(sorted(l for _, l in sub.nodes)),
+                    tuple(sorted(l for *_, l in sub.edges)),
+                )
+                classes = buckets.setdefault(key, [])
+                for rep, tids in classes:
+                    if isomorphic_oracle(sub, rep):
+                        tids.add(tid)
+                        break
+                else:
+                    classes.append((sub, {tid}))
+        for cfg in calibration_configs(rng, len(txns)):
+            lo, hi = cfg.size_range
+            supports = [
+                len(tids)
+                for classes in buckets.values()
+                for rep, tids in classes
+                if lo <= rep.n_nodes <= hi
+            ]
+            expected = calibrated_by_definition(supports, cfg, len(txns))
+            assert calibrate_threshold(db, cfg) == expected, cfg
+
+    @pytest.mark.parametrize("both_core_rules", [False, True], ids=["exp1", "exp2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_exhaustive_scan_on_histories(self, seed, both_core_rules):
+        from opminer.evalharness import bundle_to_db
+        from opminer.miner import _mine_raw
+        from opminer.simgen import SimConfig, default_catalogs, simulate
+
+        core, pert = default_catalogs(both_core_rules=both_core_rules)
+        db = bundle_to_db(
+            simulate(SimConfig(d=3, e=4, p=0.2, seed=seed, core_rules=core, perturbations=pert))
+        )
+        rng = random.Random(seed)
+        for cfg in [CalibrationConfig(), *calibration_configs(rng, len(db))]:
+            lo, hi = cfg.size_range
+            raw = _mine_raw(db, cfg.t_min, MinerConfig(), trees_only=True, max_nodes=hi)
+            supports = [s for g, _, s in raw if lo <= g.n_nodes <= hi]
+            expected = calibrated_by_definition(supports, cfg, len(db))
+            assert calibrate_threshold(db, cfg) == expected, cfg
+
+    @pytest.mark.parametrize("ticks", [3, 20, 80])
+    def test_budget_exceeded_returns_nothing(self, ticks, monkeypatch):
+        # a clock that advances one second per reading stops the search after
+        # a fixed number of budget checks; nothing is assembled past that
+        rng = random.Random(11)
+        txns = [random_connected_graph(rng, 6, 2) for _ in range(5)]
+        db = TransactionDB.of(txns)
+        cfg = CalibrationConfig(
+            t_min=1, size_range=(1, 6), budget=1000, miner=MinerConfig(time_budget_s=ticks)
+        )
+        clock = itertools.count()
+        fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
+        monkeypatch.setattr(miner, "time", fake_time)
+        with pytest.raises(MiningBudgetExceeded) as exc_info:
+            calibrate_threshold(db, cfg)
+        assert exc_info.value.partial == []
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"t_min": 0}, {"budget": -1}, {"size_range": (0, 3)}, {"size_range": (4, 3)}],
+        ids=["t_min below 1", "negative budget", "size_range below 1", "size_range reversed"],
+    )
+    def test_rejects_invalid_config(self, fields):
+        with pytest.raises(MinerError):
+            CalibrationConfig(**fields)
+
+
 class TestSizeAtThreshold:
     def make_db(self, sizes):
         txns = []
