@@ -10,6 +10,7 @@ edges. SCG connected components are the transactions the miner consumes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -170,6 +171,159 @@ class ModelVersion:
             )
         except (KeyError, TypeError) as exc:
             raise ModelError(f"invalid model document: {exc}") from exc
+
+
+class WorkingModel:
+    """A mutable model that changes by deltas and keeps its indexes current.
+
+    It holds what rule matching reads: ``type_map``; ``by_type``, each type's
+    uids in sorted order (random site choice depends on that order); the
+    ``references`` set; ``out_index`` and ``in_index`` from (uid, edge type)
+    to the uids at the other end; ``incident`` references per element; and,
+    under a meta-model, the containment ``parent`` of each contained element.
+    Each delta is checked only where it touches the model, for everything
+    ``ModelVersion`` and ``validate_against`` check on a whole model; the start
+    model is one delta on the empty model, so it is checked whole.
+    """
+
+    def __init__(self, model: ModelVersion, metamodel: MetaModel | None = None) -> None:
+        self.metamodel = metamodel
+        self.type_map: dict[str, str] = {}
+        self.by_type: dict[str, list[str]] = {}
+        self.references: set[tuple[str, str, str]] = set()
+        self.out_index: dict[tuple[str, str], set[str]] = {}
+        self.in_index: dict[tuple[str, str], set[str]] = {}
+        self.incident: dict[str, set[tuple[str, str, str]]] = {}
+        self.parent: dict[str, str] = {}
+        self.apply(added_elements=model.elements, added_references=model.references)
+
+    def _containment(self, etype: str) -> bool:
+        return self.metamodel is not None and etype in self.metamodel.containment_names
+
+    def _add_reference(self, ref: tuple[str, str, str]) -> None:
+        src, tgt, etype = ref
+        self.references.add(ref)
+        self.out_index.setdefault((src, etype), set()).add(tgt)
+        self.in_index.setdefault((tgt, etype), set()).add(src)
+        self.incident[src].add(ref)
+        self.incident[tgt].add(ref)
+        if self._containment(etype):
+            self.parent[tgt] = src
+
+    def _remove_reference(self, ref: tuple[str, str, str]) -> None:
+        src, tgt, etype = ref
+        self.references.remove(ref)
+        self.out_index[(src, etype)].remove(tgt)
+        self.in_index[(tgt, etype)].remove(src)
+        self.incident[src].remove(ref)
+        self.incident[tgt].remove(ref)
+        if self._containment(etype):
+            del self.parent[tgt]
+
+    def apply(
+        self,
+        removed_elements: Iterable[str] = (),
+        removed_references: Iterable[tuple[str, str, str]] = (),
+        added_elements: Iterable[tuple[str, str]] = (),
+        added_references: Iterable[tuple[str, str, str]] = (),
+    ) -> None:
+        """Remove, then add; raise ModelError, changing nothing, if the result
+        would not be a valid (and, under the meta-model, conformant) model."""
+        gone = set(removed_elements)
+        cut = set(removed_references)
+        new_elements = list(added_elements)
+        added = dict(new_elements)
+        if len(added) != len(new_elements):
+            raise ModelError("duplicate element uid")
+        new_refs = list(added_references)
+        self._check(gone, cut, added, new_refs)
+        for ref in cut:
+            self._remove_reference(ref)
+        for uid in gone:
+            uids = self.by_type[self.type_map.pop(uid)]
+            del uids[bisect_left(uids, uid)]
+            del self.incident[uid]
+        for uid, typ in added.items():
+            insort(self.by_type.setdefault(typ, []), uid)
+            self.type_map[uid] = typ
+            self.incident[uid] = set()
+        for ref in new_refs:
+            self._add_reference(ref)
+
+    def _check(
+        self,
+        gone: set[str],
+        cut: set[tuple[str, str, str]],
+        added: dict[str, str],
+        new_refs: list[tuple[str, str, str]],
+    ) -> None:
+        mm = self.metamodel
+        if not cut <= self.references:
+            raise ModelError(f"cannot remove absent references {sorted(cut - self.references)}")
+        for uid in gone:
+            if uid not in self.type_map:
+                raise ModelError(f"cannot remove unknown element {uid}")
+            if not self.incident[uid] <= cut:
+                raise ModelError(f"removing {uid} leaves a dangling reference")
+        for uid, typ in added.items():
+            if uid in self.type_map and uid not in gone:
+                raise ModelError("duplicate element uid")
+            if mm is not None and typ not in mm.node_types:
+                raise ModelError(f"element {uid}: unknown type {typ!r}")
+
+        def type_of(uid: str) -> str | None:
+            if uid in added:
+                return added[uid]
+            return None if uid in gone else self.type_map.get(uid)
+
+        freed = {tgt for _, tgt, etype in cut if self._containment(etype)}
+
+        def parent_of(uid: str) -> str | None:
+            if uid in new_parent:
+                return new_parent[uid]
+            return None if uid in freed else self.parent.get(uid)
+
+        seen: set[tuple[str, str, str]] = set()
+        new_parent: dict[str, str] = {}
+        for ref in new_refs:
+            src, tgt, etype = ref
+            if type_of(src) is None or type_of(tgt) is None:
+                raise ModelError(f"reference ({src},{tgt},{etype}) touches unknown element")
+            if src == tgt:
+                raise ModelError(f"self-reference on {src} is not supported")
+            if ref in seen or (ref in self.references and ref not in cut):
+                raise ModelError(f"duplicate reference ({src},{tgt},{etype})")
+            seen.add(ref)
+            if mm is None:
+                continue
+            et = mm.edge_type_map.get(etype)
+            if et is None:
+                raise ModelError(f"reference type {etype!r} not in meta-model")
+            if type_of(src) != et.src or type_of(tgt) != et.tgt:
+                raise ModelError(
+                    f"reference ({src},{tgt},{etype}) violates endpoint types "
+                    f"{et.src}->{et.tgt}"
+                )
+            if et.containment:
+                if parent_of(tgt) is not None:
+                    raise ModelError(f"element {tgt} has two containment parents")
+                new_parent[tgt] = src
+
+        # Only a new containment edge can close a cycle: walk up from its source.
+        for tgt, src in new_parent.items():
+            visited, cur = {tgt}, src
+            while cur is not None:
+                if cur in visited:
+                    raise ModelError("containment cycle detected")
+                visited.add(cur)
+                cur = parent_of(cur)
+
+    def snapshot(self) -> ModelVersion:
+        """The current model as a validated ``ModelVersion``."""
+        model = ModelVersion.of(self.type_map.items(), self.references)
+        if self.metamodel is not None:
+            model.validate_against(self.metamodel)
+        return model
 
 
 def save_model(model: ModelVersion, path) -> None:

@@ -3,8 +3,9 @@
 A mined change pattern converts directly into a rule: preserved_ nodes become
 context, create_/delete_ elements become the created/deleted parts. Applying
 a rule binds context and deleted nodes injectively to model elements, removes
-the deleted part and adds fresh elements for the created part. Application is
-also the engine the history simulator drives.
+the deleted part and adds fresh elements for the created part, as one delta on
+a ``WorkingModel``. Application is also the engine the history simulator
+drives.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .modeldiff import (
     MetaModel,
     ModelError,
     ModelVersion,
+    WorkingModel,
     split_prefix,
 )
 
@@ -37,7 +39,7 @@ class NoMatchError(RuleError):
 
 
 class ConformanceError(RuleError):
-    """Rule application would break meta-model conformance."""
+    """Rule application would leave an invalid or non-conformant model."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def _deleted_edge_uids(rule: EditRule, binding: Mapping[int, str]):
     return {(binding[s], binding[d], t) for s, d, t in rule.deleted_edges}
 
 
-def _binding_valid(rule: EditRule, model: ModelVersion, binding: Mapping[int, str]) -> bool:
+def _binding_valid(rule: EditRule, model: WorkingModel, binding: Mapping[int, str]) -> bool:
     """Type match, injectivity, deleted edges present, no dangling deletions,
     and no created edge that would duplicate an existing reference."""
     values = list(binding.values())
@@ -199,16 +201,14 @@ def _binding_valid(rule: EditRule, model: ModelVersion, binding: Mapping[int, st
         uid = binding.get(rid)
         if uid is None or model.type_map.get(uid) != typ:
             return False
-    refs = model.reference_set
+    refs = model.references
     if rule.deleted_nodes or rule.deleted_edges:
         to_delete = _deleted_edge_uids(rule, binding)
         if not to_delete <= refs:
             return False
-        deleted_uids = {binding[n] for n, _ in rule.deleted_nodes}
-        if deleted_uids:
-            for ref in model.references:
-                if (ref[0] in deleted_uids or ref[1] in deleted_uids) and ref not in to_delete:
-                    return False  # deletion would leave a dangling reference
+        for rid, _ in rule.deleted_nodes:
+            if not model.incident[binding[rid]] <= to_delete:
+                return False  # deletion would leave a dangling reference
     context_ids = {n for n, _ in rule.context_nodes}
     for src, dst, etype in rule.created_edges:
         if src in context_ids and dst in context_ids:
@@ -219,31 +219,27 @@ def _binding_valid(rule: EditRule, model: ModelVersion, binding: Mapping[int, st
 
 def find_bindings(
     rule: EditRule,
-    model: ModelVersion,
+    model: ModelVersion | WorkingModel,
     fixed: Mapping[int, str] | None = None,
 ) -> Iterator[dict[int, str]]:
     """Enumerate all valid bindings, in a deterministic order.
 
     Slots are ordered most-constrained-first along deleted-edge adjacency, and
-    candidates for a slot adjacent to a placed one are read off a reference
-    index, so edge-constrained rules stay cheap on large models. ``fixed``
+    candidates for a slot adjacent to a placed one are read off the working
+    model's reference indexes, so edge-constrained rules stay cheap on large
+    models. A ``ModelVersion`` is wrapped in a ``WorkingModel`` first; a
+    working model must not change while the bindings are consumed. ``fixed``
     pre-binds some slots, restricting the enumeration to their completions.
     """
+    if isinstance(model, ModelVersion):
+        model = WorkingModel(model)
     slots = dict(_binding_nodes(rule))
-    by_type: dict[str, list[str]] = {}
-    for uid, typ in model.elements:
-        by_type.setdefault(typ, []).append(uid)
+    by_type = model.by_type
 
     adjacency: dict[int, list[tuple[int, str, bool]]] = {rid: [] for rid in slots}
     for src, dst, etype in rule.deleted_edges:
         adjacency[src].append((dst, etype, True))   # edge leaves src
         adjacency[dst].append((src, etype, False))
-
-    out_index: dict[tuple[str, str], list[str]] = {}
-    in_index: dict[tuple[str, str], list[str]] = {}
-    for src, dst, etype in model.references:
-        out_index.setdefault((src, etype), []).append(dst)
-        in_index.setdefault((dst, etype), []).append(src)
 
     binding: dict[int, str] = dict(fixed or {})
     used: set[str] = set(binding.values())
@@ -259,17 +255,17 @@ def find_bindings(
         remaining.remove(pick)
 
     def candidates(rid: int) -> list[str]:
-        narrowed: list[str] | None = None
+        narrowed: set[str] | None = None
         for other, etype, outgoing in adjacency[rid]:
             if other not in binding:
                 continue
-            index = in_index if outgoing else out_index
-            via = index.get((binding[other], etype), [])
-            narrowed = via if narrowed is None else [u for u in narrowed if u in via]
+            index = model.in_index if outgoing else model.out_index
+            via = index.get((binding[other], etype), set())
+            narrowed = via if narrowed is None else narrowed & via
         if narrowed is None:
-            return by_type.get(slots[rid], [])
+            return by_type.get(slots[rid], [])  # sorted, without repeats
         typ = slots[rid]
-        return [u for u in narrowed if model.type_map.get(u) == typ]
+        return sorted(u for u in narrowed if model.type_map.get(u) == typ)
 
     def backtrack(pos: int) -> Iterator[dict[int, str]]:
         if pos == len(order):
@@ -277,7 +273,7 @@ def find_bindings(
                 yield dict(binding)
             return
         rid = order[pos]
-        for uid in sorted(set(candidates(rid))):
+        for uid in candidates(rid):
             if uid in used:
                 continue
             binding[rid] = uid
@@ -290,7 +286,7 @@ def find_bindings(
 
 
 def _sample_binding(
-    rule: EditRule, model: ModelVersion, rng, max_tries: int = 400
+    rule: EditRule, model: WorkingModel, rng, max_tries: int = 400
 ) -> dict[int, str] | None:
     """Uniform random valid binding, or None when none exists.
 
@@ -299,12 +295,9 @@ def _sample_binding(
     empty case after repeated rejections.
     """
     slots = _binding_nodes(rule)
-    by_type: dict[str, list[str]] = {}
-    for uid, typ in model.elements:
-        by_type.setdefault(typ, []).append(uid)
     candidates = []
     for _, typ in slots:
-        pool = by_type.get(typ)
+        pool = model.by_type.get(typ)
         if not pool:
             return None
         candidates.append(pool)
@@ -333,18 +326,20 @@ class ApplicationRecord:
         return frozenset(u for _, u in self.binding) | frozenset(u for _, u in self.created)
 
 
-def apply_with_record(
+def apply_in_place(
     rule: EditRule,
-    model: ModelVersion,
+    model: WorkingModel,
     site: Mapping[int, str] | str = "random",
     seed: int = 0,
-    metamodel: MetaModel | None = None,
-) -> tuple[ModelVersion, ApplicationRecord]:
-    """Apply a rule and report what happened; ``apply`` discards the record.
+) -> ApplicationRecord:
+    """Apply a rule to a working model as one delta and report what happened.
 
     ``site`` is either an explicit binding (rule node id -> uid) or
     "random", which picks uniformly over all valid bindings under ``seed``.
     Fresh uids are ``<rulename>-<counter>-<seed>``, deterministic per seed.
+    Raises NoMatchError when there is no valid binding and ConformanceError
+    when the result would not be a valid model conforming to the working
+    model's meta-model; either way the model is left unchanged.
     """
     if isinstance(site, str):
         if site != "random":
@@ -359,38 +354,55 @@ def apply_with_record(
             raise NoMatchError(f"rule {rule.name!r}: supplied binding is not valid")
 
     deleted_uids = {binding[n] for n, _ in rule.deleted_nodes}
-    removed_refs = _deleted_edge_uids(rule, binding)
     fresh: dict[int, str] = {}
-    existing = {u for u, _ in model.elements}
     for counter, (rid, _typ) in enumerate(rule.created_nodes):
         uid = f"{rule.name}-{counter}-{seed}"
-        if uid in existing:
+        if uid in model.type_map:
             raise RuleError(f"fresh uid {uid!r} collides; use a distinct seed")
         fresh[rid] = uid
 
     def resolve(rid: int) -> str:
         return fresh[rid] if rid in fresh else binding[rid]
 
-    elements = [(u, t) for u, t in model.elements if u not in deleted_uids]
-    elements += [(fresh[rid], typ) for rid, typ in rule.created_nodes]
-    references = [r for r in model.references if r not in removed_refs]
-    references += [
-        (resolve(s), resolve(d), t) for s, d, t in rule.created_edges
-    ]
-    result = ModelVersion.of(elements, references)
-    if metamodel is not None:
-        try:
-            result.validate_against(metamodel)
-        except ModelError as exc:
-            raise ConformanceError(f"rule {rule.name!r}: {exc}") from exc
-    record = ApplicationRecord(
+    try:
+        model.apply(
+            removed_elements=deleted_uids,
+            removed_references=_deleted_edge_uids(rule, binding),
+            added_elements=[(fresh[rid], typ) for rid, typ in rule.created_nodes],
+            added_references=[(resolve(s), resolve(d), t) for s, d, t in rule.created_edges],
+        )
+    except ModelError as exc:
+        raise ConformanceError(f"rule {rule.name!r}: {exc}") from exc
+    return ApplicationRecord(
         rule=rule.name,
         seed=seed,
         binding=tuple(sorted(binding.items())),
         created=tuple(sorted(fresh.items())),
         deleted=tuple(sorted(deleted_uids)),
     )
-    return result, record
+
+
+def apply_with_record(
+    rule: EditRule,
+    model: ModelVersion,
+    site: Mapping[int, str] | str = "random",
+    seed: int = 0,
+    metamodel: MetaModel | None = None,
+) -> tuple[ModelVersion, ApplicationRecord]:
+    """Apply a rule to a model version and report what happened; ``apply``
+    discards the record.
+
+    Wraps ``model`` in a ``WorkingModel`` under ``metamodel`` (checking
+    conformance only when one is given), applies the rule with
+    ``apply_in_place`` and returns the resulting version; the input is not
+    changed. A ``model`` that does not conform raises ConformanceError.
+    """
+    try:
+        working = WorkingModel(model, metamodel)
+    except ModelError as exc:
+        raise ConformanceError(f"rule {rule.name!r}: {exc}") from exc
+    record = apply_in_place(rule, working, site, seed)
+    return working.snapshot(), record
 
 
 def apply(

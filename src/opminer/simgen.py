@@ -19,12 +19,21 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .graphcore import LabeledGraph, load_transactions, save_transactions
-from .modeldiff import EdgeType, MetaModel, ModelError, ModelVersion, load_model, save_model
+from .modeldiff import (
+    EdgeType,
+    MetaModel,
+    ModelError,
+    ModelVersion,
+    WorkingModel,
+    load_model,
+    save_model,
+)
 from .rulegen import (
     ApplicationRecord,
     EditRule,
     NoMatchError,
-    apply_with_record,
+    _binding_nodes,
+    apply_in_place,
     find_bindings,
     rule_to_pattern_graph,
 )
@@ -155,12 +164,17 @@ def build_initial(
     chosen uniformly; Connectors reference two distinct Ports via end edges;
     each SwImplementation is implemented by a random Component; each
     Requirement satisfies a random Connector. Unknown types only receive a
-    containment parent (first matching containment edge type).
+    containment parent (first matching containment edge type). ``counts``
+    must map type names to non-negative integers.
     """
     rng = Random(seed)
+    if not isinstance(counts, Mapping):
+        raise SimError("instance spec must map type names to counts")
     for typ, count in counts.items():
         if typ not in metamodel.node_types:
             raise SimError(f"instance spec names unknown type {typ!r}")
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise SimError(f"count for {typ!r} is not an integer: {count!r}")
         if count < 0:
             raise SimError(f"negative count for {typ!r}")
 
@@ -346,7 +360,7 @@ def _weighted_choice(rng: Random, rules: Sequence[EditRule], weights) -> EditRul
 
 
 def _overlapping_binding(
-    rule: EditRule, model: ModelVersion, touched: frozenset[str], rng: Random
+    rule: EditRule, model: WorkingModel, touched: frozenset[str], rng: Random
 ) -> dict[int, str] | None:
     """Uniform choice among valid bindings sharing >= 1 element with ``touched``.
 
@@ -355,8 +369,6 @@ def _overlapping_binding(
     """
     seen: set[tuple] = set()
     overlapping: list[dict[int, str]] = []
-    from .rulegen import _binding_nodes
-
     for rid, typ in _binding_nodes(rule):
         for uid in sorted(touched):
             if model.type_map.get(uid) != typ:
@@ -374,9 +386,12 @@ def _overlapping_binding(
 def simulate(config: SimConfig) -> RepoBundle:
     """Generate a model history m0..md per the simulation protocol.
 
-    Site exhaustion never fails the run: the application is recorded as
-    skipped with a warning. Replaying the logs from m0 reproduces every
-    version exactly.
+    Every application changes one ``WorkingModel`` in place, checked for
+    conformance where it touches the model; each revision's version is a
+    snapshot of it, revalidated whole. Site exhaustion never fails the run:
+    the application is recorded as skipped with a warning. A rule that would
+    break conformance raises ConformanceError. Replaying the logs from m0
+    reproduces every version exactly.
     """
     rng = Random(config.seed)
     initial = build_initial(config.metamodel, config.initial_counts, config.seed)
@@ -385,7 +400,7 @@ def simulate(config: SimConfig) -> RepoBundle:
     skipped = 0
     app_counter = itertools.count()
 
-    model = initial
+    model = WorkingModel(initial, config.metamodel)
     for _rev in range(config.d):
         rev_log: list[LoggedApplication] = []
         for _app in range(config.e):
@@ -393,9 +408,7 @@ def simulate(config: SimConfig) -> RepoBundle:
             app_seed = config.seed * 1_000_003 + next(app_counter)
             perturb = rng.random() < config.p
             try:
-                model, record = apply_with_record(
-                    rule, model, site="random", seed=app_seed, metamodel=config.metamodel
-                )
+                record = apply_in_place(rule, model, site="random", seed=app_seed)
             except NoMatchError:
                 skipped += 1
                 log.warning("skipping %s: no valid site", rule.name)
@@ -418,13 +431,10 @@ def simulate(config: SimConfig) -> RepoBundle:
                     log.warning("no overlapping perturbation site after %s", rule.name)
                 else:
                     pert_rule, binding = chosen
-                    model, pert_record = apply_with_record(
-                        pert_rule, model, site=binding, seed=pert_seed,
-                        metamodel=config.metamodel,
-                    )
+                    pert_record = apply_in_place(pert_rule, model, site=binding, seed=pert_seed)
                     entry = LoggedApplication(record, perturbed=True, perturbation=pert_record)
             rev_log.append(entry)
-        versions.append(model)
+        versions.append(model.snapshot())
         logs.append(rev_log)
 
     truth = {r.name: rule_to_pattern_graph(r) for r in config.core_rules}
@@ -432,27 +442,26 @@ def simulate(config: SimConfig) -> RepoBundle:
 
 
 def replay(bundle: RepoBundle) -> list[ModelVersion]:
-    """Re-apply the logged applications from m0; must reproduce all versions."""
-    model = bundle.versions[0]
-    out = [model]
+    """Re-apply the logged applications from m0; must reproduce all versions.
+
+    Like ``simulate``, applies every logged rule to one ``WorkingModel`` and
+    snapshots it at the end of each revision.
+    """
+    model = WorkingModel(bundle.versions[0], bundle.config.metamodel)
+    out = [bundle.versions[0]]
     for rev_log in bundle.logs:
         for entry in rev_log:
-            model, _ = apply_with_record(
-                _rule_by_name(bundle.config, entry.record.rule),
-                model,
-                site=dict(entry.record.binding),
-                seed=entry.record.seed,
-                metamodel=bundle.config.metamodel,
-            )
+            records = [entry.record]
             if entry.perturbed and entry.perturbation is not None:
-                model, _ = apply_with_record(
-                    _rule_by_name(bundle.config, entry.perturbation.rule),
+                records.append(entry.perturbation)
+            for record in records:
+                apply_in_place(
+                    _rule_by_name(bundle.config, record.rule),
                     model,
-                    site=dict(entry.perturbation.binding),
-                    seed=entry.perturbation.seed,
-                    metamodel=bundle.config.metamodel,
+                    site=dict(record.binding),
+                    seed=record.seed,
                 )
-        out.append(model)
+        out.append(model.snapshot())
     return out
 
 

@@ -5,6 +5,9 @@ two existing Components together: two Ports, a Connector with two end edges
 and two part edges, and a Requirement satisfying the Connector. The change
 amounts to 4 created nodes and 7 created edges with the two Components as
 boundary, which several pipeline tests assert against.
+
+``NESTING_METAMODEL`` adds Package-in-Package containment, so containment
+cycles can be built; ``working_view`` is what the working-model tests compare.
 """
 
 from opminer.modeldiff import EdgeType, MetaModel, ModelVersion
@@ -48,3 +51,24 @@ def fig_pair() -> tuple[ModelVersion, ModelVersion]:
         ],
     )
     return old, new
+
+
+NESTING_METAMODEL = MetaModel(
+    FIXTURE_METAMODEL.node_types,
+    FIXTURE_METAMODEL.edge_types + (EdgeType("subpackage", "Package", "Package", containment=True),),
+)
+
+#: small per-type counts for ``simgen.build_initial``
+SMALL_COUNTS = {
+    "Package": 4, "Component": 5, "SwImplementation": 3,
+    "Port": 6, "Connector": 3, "Requirement": 4,
+}
+
+
+def working_view(model) -> dict:
+    """A working model's contents and indexes, empty index entries dropped, so
+    one changed by deltas compares equal to one built from its snapshot."""
+    return {
+        name: {k: v for k, v in value.items() if v} if isinstance(value, dict) else value
+        for name, value in vars(model).items()
+    }

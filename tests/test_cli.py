@@ -10,7 +10,7 @@ import opminer
 from opminer.cli import main
 from opminer.graphcore import loads_transactions
 from opminer.modeldiff import save_model
-from fixtures import FIXTURE_METAMODEL, fig_pair
+from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
 
 
 @pytest.fixture()
@@ -157,6 +157,39 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
     assert "Traceback" not in proc.stderr
     if expected in (0, 3):
         assert json.loads(out.read_text())["partial"] is (expected == 3)
+
+
+# (case, --counts file text or None for a missing file, documented exit code)
+SIMULATE_EXIT_CODES = [
+    ("ok", json.dumps(SMALL_COUNTS), 0),
+    ("missing counts file", None, 2),
+    ("malformed counts json", "{", 2),
+    ("counts not an object", "[1, 2]", 2),
+    ("string count", '{"Package": "abc"}', 2),
+    ("fractional count", '{"Package": 2.5}', 2),
+    ("boolean count", '{"Package": true}', 2),
+    ("negative count", '{"Package": -1}', 2),
+    ("unknown type", '{"Widget": 1}', 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
+    ids=[row[0] for row in SIMULATE_EXIT_CODES],
+)
+def test_simulate_exit_codes(tmp_path, text, expected):
+    counts = tmp_path / "counts.json"
+    if text is not None:
+        counts.write_text(text, encoding="utf-8")
+    run_env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "opminer.cli", "simulate", "--d", "1", "--e", "1",
+         "--p", "0", "--seed", "1", "--counts", str(counts), "--out", str(tmp_path / "bundle")],
+        env=run_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "bundle" / "m1.json").exists() is (expected == 0)
 
 
 class TestRankAndRules:

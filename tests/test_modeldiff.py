@@ -13,6 +13,7 @@ from opminer.modeldiff import (
     MetaModel,
     ModelError,
     ModelVersion,
+    WorkingModel,
     change_components,
     change_counts,
     difference_graph,
@@ -20,7 +21,14 @@ from opminer.modeldiff import (
     simple_change_graph,
     split_prefix,
 )
-from fixtures import FIXTURE_METAMODEL, fig_pair
+from opminer.simgen import build_initial, default_metamodel
+from fixtures import (
+    FIXTURE_METAMODEL,
+    NESTING_METAMODEL,
+    SMALL_COUNTS,
+    fig_pair,
+    working_view,
+)
 from oracles import components_oracle
 
 
@@ -235,3 +243,92 @@ class TestMetaModelJson:
     def test_invalid_document(self):
         with pytest.raises(ModelError):
             MetaModel.from_json({"nodeTypes": ["A"]})
+
+
+def random_delta(rng: random.Random, model: ModelVersion, step: int):
+    """Removals and additions of any kind: absent, dangling, duplicate,
+    self-referencing, mistyped, unknown, re-parenting and cycle-closing ones."""
+    uids = sorted(model.type_map)
+    refs = sorted(model.references)
+    gone = set(rng.sample(uids, rng.choice([0, 0, 1, 2])))
+    cut = {r for r in refs if r[0] in gone or r[1] in gone}
+    if cut and rng.random() < 0.1:
+        cut.remove(rng.choice(sorted(cut)))  # leaves a dangling reference
+    cut |= {r for r in refs if rng.random() < 0.05}
+    if rng.random() < 0.05:
+        gone.add("ghost")
+    if rng.random() < 0.05:
+        cut.add(("ghost", uids[0], "port"))
+    types = sorted(NESTING_METAMODEL.node_types)
+    added = [(f"n{step}-{i}", rng.choice(types)) for i in range(rng.randint(0, 3))]
+    if rng.random() < 0.05:
+        added.append((rng.choice(uids), rng.choice(types)))  # reused uid
+    if rng.random() < 0.05:
+        added.append((f"w{step}", "Widget"))
+    ends = [u for u in uids if u not in gone] + [u for u, _ in added]
+    if rng.random() < 0.05:
+        ends.append("ghost")
+    type_of = {**model.type_map, **dict(added)}
+    new_refs = []
+    for _ in range(rng.randint(0, 4)):
+        et = rng.choice(NESTING_METAMODEL.edge_types)
+        fitting = [u for u in ends if type_of.get(u) == et.src]
+        src = rng.choice(fitting or ends)
+        fitting = [u for u in ends if type_of.get(u) == et.tgt]
+        tgt = rng.choice(fitting if fitting and rng.random() < 0.9 else ends)
+        new_refs.append((src, tgt, et.name if rng.random() < 0.95 else "bogus"))
+    packages = [u for u in ends if type_of.get(u) == "Package"]
+    if len(packages) >= 2 and rng.random() < 0.3:  # a chain of nested packages, maybe closed
+        chain = rng.sample(packages, rng.randint(2, min(3, len(packages))))
+        ring = chain[1:] + chain[:1] if rng.random() < 0.5 else chain[1:]
+        new_refs += [(a, b, "subpackage") for a, b in zip(chain, ring)]
+    if refs and rng.random() < 0.1:
+        new_refs.append(rng.choice(refs))  # present unless cut in the same delta
+    if new_refs and rng.random() < 0.05:
+        new_refs.append(new_refs[0])
+    return gone, cut, added, new_refs
+
+
+class TestWorkingModel:
+    def test_deltas_match_whole_model_validation(self):
+        """A delta raises ModelError exactly when its removals are absent or the
+        rebuilt model fails ``ModelVersion`` or ``validate_against``; otherwise
+        the working model and its indexes equal those built from the result."""
+        accepted = rejected = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            model = build_initial(default_metamodel(), SMALL_COUNTS, seed)
+            working = WorkingModel(model, NESTING_METAMODEL)
+            for step in range(20):
+                gone, cut, added, new_refs = random_delta(rng, model, step)
+                try:
+                    if not (gone <= set(model.type_map) and cut <= model.reference_set):
+                        raise ModelError("removes what is absent")
+                    expected = ModelVersion.of(
+                        [e for e in model.elements if e[0] not in gone] + added,
+                        [r for r in model.references if r not in cut] + new_refs,
+                    )
+                    expected.validate_against(NESTING_METAMODEL)
+                except ModelError:
+                    expected = None
+                try:
+                    working.apply(gone, cut, added, new_refs)
+                except ModelError:
+                    assert expected is None, (seed, step)
+                    rejected += 1
+                else:
+                    assert expected is not None, (seed, step)
+                    assert working.snapshot() == expected
+                    model = expected
+                    accepted += 1
+                fresh = WorkingModel(model, NESTING_METAMODEL)
+                assert working_view(working) == working_view(fresh)
+        assert accepted >= 100 and rejected >= 100, (accepted, rejected)
+
+    def test_start_model_must_conform(self):
+        model = ModelVersion.of(
+            [("a", "Component"), ("b", "Component")], [("a", "b", "port")]
+        )
+        WorkingModel(model)
+        with pytest.raises(ModelError):
+            WorkingModel(model, FIXTURE_METAMODEL)

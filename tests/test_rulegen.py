@@ -4,20 +4,34 @@ import random
 import pytest
 
 from opminer.graphcore import LabeledGraph, canonical_code, is_subgraph_isomorphic
-from opminer.modeldiff import ModelVersion, difference_graph, simple_change_graph
+from opminer.modeldiff import (
+    ModelError,
+    ModelVersion,
+    WorkingModel,
+    difference_graph,
+    simple_change_graph,
+)
 from opminer.rulegen import (
     ConformanceError,
     EditRule,
     NoMatchError,
     RuleError,
     apply,
+    apply_in_place,
     apply_with_record,
     find_bindings,
     pattern_to_rule,
     rule_to_pattern_graph,
     to_dot,
 )
-from fixtures import FIXTURE_METAMODEL, fig_pair
+from opminer.simgen import build_initial, default_metamodel
+from fixtures import (
+    FIXTURE_METAMODEL,
+    NESTING_METAMODEL,
+    SMALL_COUNTS,
+    fig_pair,
+    working_view,
+)
 
 
 def fig_rule() -> EditRule:
@@ -237,6 +251,118 @@ class TestFindBindings:
         sigma = math.sqrt(n * (1 / 12) * (11 / 12))
         for got in counts.values():
             assert abs(got - expected) <= 3 * sigma
+
+
+def random_site_rule(rng: random.Random, model: ModelVersion, name: str):
+    """A random rule around random elements of ``model``, with those elements
+    as its binding.
+
+    Sometimes one bound element is deleted with its references (now and then
+    missing one, so the site is invalid), or the containment reference into a
+    context element is deleted. Created nodes get random types; created edges
+    join context and created nodes, usually with an edge type that fits their
+    types, so some give an element two containment parents or close a
+    containment cycle, as ``random_creation_rule``-style rules do.
+    """
+    types = NESTING_METAMODEL.node_types
+    edge_types = NESTING_METAMODEL.edge_types
+    pool = sorted(model.type_map)
+    if rng.random() < 0.3:  # Packages alone, so subpackage edges can close cycles
+        pool = [uid for uid in pool if model.type_map[uid] == "Package"]
+    binding = dict(enumerate(rng.sample(pool, min(len(pool), rng.randint(1, 3)))))
+    ids = {uid: rid for rid, uid in binding.items()}
+
+    def bind(uid: str) -> int:
+        if uid not in ids:
+            ids[uid] = len(binding)
+            binding[ids[uid]] = uid
+        return ids[uid]
+
+    victim = rng.choice(sorted(binding)) if rng.random() < 0.4 else None
+    deleted_edges = []
+    for src, tgt, etype in model.references:
+        if victim is not None and binding[victim] in (src, tgt):
+            if rng.random() < 0.95:
+                deleted_edges.append((bind(src), bind(tgt), etype))
+    if rng.random() < 0.3:
+        freed = rng.choice(sorted(binding))
+        for src, tgt, etype in model.references:
+            if tgt == binding[freed] and etype in NESTING_METAMODEL.containment_names:
+                if (bind(src), freed, etype) not in deleted_edges:
+                    deleted_edges.append((ids[src], freed, etype))
+    context = [rid for rid in binding if rid != victim]
+    created = list(range(len(binding), len(binding) + rng.randint(0, 3)))
+    created_types = {rid: rng.choice(sorted(types)) for rid in created}
+    type_of = {**{rid: model.type_map[uid] for rid, uid in binding.items()}, **created_types}
+    created_edges = []
+    nodes = context + created
+    for _ in range(rng.randint(0, 4) if nodes else 0):
+        src = rng.choice(nodes)
+        fitting = [
+            (tgt, et.name) for tgt in nodes for et in edge_types
+            if tgt != src and (et.src, et.tgt) == (type_of[src], type_of[tgt])
+        ]
+        if fitting and rng.random() < 0.85:
+            tgt, etype = rng.choice(fitting)
+        else:
+            tgt, etype = rng.choice(nodes), rng.choice(edge_types).name
+        created_edges.append((src, tgt, etype))
+    rule = EditRule(
+        name=name,
+        context_nodes=tuple((rid, type_of[rid]) for rid in context),
+        created_nodes=tuple(sorted(created_types.items())),
+        deleted_nodes=((victim, type_of[victim]),) if victim is not None else (),
+        created_edges=tuple(created_edges),
+        deleted_edges=tuple(deleted_edges),
+    )
+    return rule, binding
+
+
+def rebuilt(rule: EditRule, model: ModelVersion, binding, seed: int) -> ModelVersion:
+    """The applied model built whole and validated whole: the reference the
+    delta application is checked against. Raises ModelError when invalid."""
+    fresh = {rid: f"{rule.name}-{i}-{seed}" for i, (rid, _) in enumerate(rule.created_nodes)}
+    uid = {**binding, **fresh}
+    deleted = {binding[rid] for rid, _ in rule.deleted_nodes}
+    removed = {(binding[s], binding[d], t) for s, d, t in rule.deleted_edges}
+    result = ModelVersion.of(
+        [e for e in model.elements if e[0] not in deleted]
+        + [(fresh[rid], typ) for rid, typ in rule.created_nodes],
+        [r for r in model.references if r not in removed]
+        + [(uid[s], uid[d], t) for s, d, t in rule.created_edges],
+    )
+    result.validate_against(NESTING_METAMODEL)
+    return result
+
+
+def test_delta_application_matches_whole_model_validation():
+    """Rules applied in sequence to one working model: ConformanceError exactly
+    when the rebuilt model fails validation, else the same model and indexes."""
+    outcomes = {"accepted": 0, "rejected": 0, "no match": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        model = build_initial(default_metamodel(), SMALL_COUNTS, seed)
+        working = WorkingModel(model, NESTING_METAMODEL)
+        for step in range(15):
+            rule, binding = random_site_rule(rng, model, f"r{step}")
+            try:
+                expected = rebuilt(rule, model, binding, step)
+            except ModelError:
+                expected = None
+            try:
+                apply_in_place(rule, working, binding, seed=step)
+            except NoMatchError:
+                outcomes["no match"] += 1
+            except ConformanceError:
+                assert expected is None, (seed, step, rule)
+                outcomes["rejected"] += 1
+            else:
+                assert expected is not None, (seed, step, rule)
+                assert working.snapshot() == expected
+                model = expected
+                outcomes["accepted"] += 1
+            assert working_view(working) == working_view(WorkingModel(model, NESTING_METAMODEL))
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 class TestDot:

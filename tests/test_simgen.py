@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +199,34 @@ class TestBundleIO:
         assert names == ["config.json", "log.json", "m0.json", "m1.json", "m2.json", "truth"]
         truths = sorted(p.name for p in (tmp_path / "b" / "truth").iterdir())
         assert truths == ["add_component_interface.txt"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
+
+
+def golden_config(case) -> SimConfig:
+    core, pert = default_catalogs(both_core_rules=case["rules"] == "experiment2")
+    return SimConfig(
+        d=case["d"], e=case["e"], p=case["p"], seed=case["seed"],
+        core_rules=core, perturbations=pert, metamodel=MM,
+        initial_counts=case.get("counts", DEFAULT_INSTANCE_COUNTS),
+    )
+
+
+def bundle_hashes(bundle, out_dir: Path) -> dict[str, str]:
+    """sha256 of every file ``save_bundle`` writes, keyed by relative path."""
+    save_bundle(bundle, out_dir)
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text())["cases"], ids=lambda case: case["name"]
+)
+def test_golden_bundles(tmp_path, case):
+    bundle = simulate(golden_config(case))
+    assert bundle_hashes(bundle, tmp_path / "bundle") == case["sha256"]
+    assert replay(bundle) == bundle.versions
