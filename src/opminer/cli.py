@@ -99,11 +99,36 @@ def patterns_to_doc(patterns: list[Pattern], threshold: int, partial: bool) -> d
     }
 
 
-def doc_to_patterns(doc: dict) -> list[Pattern]:
+class DocumentError(ValueError):
+    """Malformed pattern or ranked document."""
+
+
+def _entry_graph(entry, where: str) -> LabeledGraph:
+    """The one transaction in a document entry's ``graph`` text."""
+    text = entry.get("graph") if isinstance(entry, dict) else None
+    if not isinstance(text, str):
+        raise DocumentError(f"{where} is not an object with a graph text")
+    graphs = loads_transactions(text)
+    if len(graphs) != 1:
+        raise DocumentError(f"{where}: graph holds {len(graphs)} transactions, not 1")
+    return graphs[0]
+
+
+def doc_to_patterns(doc) -> list[Pattern]:
+    """Patterns of a ``patterns_to_doc`` document; DocumentError if malformed."""
+    entries = doc.get("patterns") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise DocumentError("pattern document holds no patterns list")
     raw = []
-    for entry in doc["patterns"]:
-        (graph,) = loads_transactions(entry["graph"])
-        raw.append((graph, entry["support"], entry.get("parents", []), entry.get("children", [])))
+    for k, entry in enumerate(entries):
+        graph = _entry_graph(entry, f"pattern {k}")
+        links = [entry.get("parents", []), entry.get("children", [])]
+        if type(entry.get("support")) is not int or not all(
+            type(ids) is list and all(type(j) is int and 0 <= j < len(entries) for j in ids)
+            for ids in links
+        ):
+            raise DocumentError(f"pattern {k}: malformed support, parents or children")
+        raw.append((graph, entry["support"], *links))
     codes = [canonical_code(g) for g, _, _, _ in raw]
     return [
         Pattern(
@@ -260,7 +285,7 @@ def cmd_rank(args) -> int:
         doc = _read_json(args.input)
         patterns = doc_to_patterns(doc)
         ranked = rank(prune(patterns), args.by)
-    except (GraphError, RankError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, RankError, DocumentError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     _write_json(
         ranked_to_doc(ranked, doc.get("threshold", 0), doc.get("partial", False)),
@@ -273,20 +298,22 @@ def cmd_rank(args) -> int:
 def cmd_rules(args) -> int:
     try:
         doc = _read_json(args.input)
-        entries = doc.get("items", doc.get("patterns"))
-        if entries is None:
-            return _fail("input document lists neither items nor patterns")
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
+    entries = doc.get("items", doc.get("patterns")) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        return _fail("input document holds neither an items nor a patterns list")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for i, entry in enumerate(entries):
-        rank_no = entry.get("rank", i + 1)
+        rank_no = entry.get("rank", i + 1) if isinstance(entry, dict) else i + 1
         try:
-            (graph,) = loads_transactions(entry["graph"])
+            if type(rank_no) is not int:
+                raise DocumentError(f"rank {rank_no!r} is not an integer")
+            graph = _entry_graph(entry, f"entry {i}")
             rule = pattern_to_rule(graph, name=f"rule_{rank_no:04d}")
-        except (RuleError, GraphError, KeyError) as exc:
+        except (DocumentError, RuleError, GraphError) as exc:
             failures += 1
             print(f"warning: pattern at rank {rank_no} skipped: {exc}", file=sys.stderr)
             continue

@@ -1,11 +1,11 @@
 """Labeled directed graphs and the operations every other stage builds on.
 
 A graph is a set of (id, label) nodes plus directed (src, dst, label) edges.
-The module provides weak connected components, a canonical form for connected
-graphs (minimal DFS code over all depth-first enumerations, with an explicit
-direction flag per code entry), label- and direction-preserving subgraph
-embedding search, and the line-based transaction file format shared by the
-mining pipeline.
+The module provides weak connected components, a connectivity test, a
+canonical form for connected graphs (minimal DFS code over all depth-first
+enumerations, with an explicit direction flag per code entry), label- and
+direction-preserving subgraph embedding search, and the line-based
+transaction file format shared by the mining pipeline.
 """
 
 from __future__ import annotations
@@ -140,6 +140,21 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     return components
 
 
+def is_connected(g: LabeledGraph, without: tuple[int, int, str] | None = None) -> bool:
+    """Whether g, less the edge ``without``, is non-empty and weakly connected."""
+    if not g.nodes:
+        return False
+    seen = {g.nodes[0][0]}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for w, dflag, label in g.incident[v]:
+            if w not in seen and ((v, w, label) if dflag == 0 else (w, v, label)) != without:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.nodes)
+
+
 # --- canonical form -------------------------------------------------------
 
 # A code entry is (i, j, dflag, from_label, edge_label, to_label) where i, j
@@ -235,7 +250,7 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     """
     if g.n_nodes == 0:
         raise GraphError("canonical code of the empty graph is undefined")
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise GraphError("canonical_code requires a connected graph")
     labels = g.label_map
     root_label = min(labels.values())

@@ -22,7 +22,7 @@ from .graphcore import (
     CodeEntry,
     LabeledGraph,
     canonical_code,
-    connected_components,
+    is_connected,
 )
 
 
@@ -57,7 +57,7 @@ class TransactionDB:
         for idx, txn in enumerate(self.transactions):
             if txn.n_nodes == 0:
                 raise MinerError(f"transaction {idx} is empty")
-            if len(connected_components(txn)) != 1:
+            if not is_connected(txn):
                 raise MinerError(f"transaction {idx} is not connected")
 
     def __len__(self) -> int:
@@ -206,27 +206,43 @@ def _mine_raw(
 def _direct_subgraphs(g: LabeledGraph) -> list[LabeledGraph]:
     """Connected subgraphs obtainable by removing exactly one edge.
 
-    Removing an edge may strand nodes or split the graph; only resulting
-    components that kept every other edge count as direct subgraphs.
+    Dropping a non-bridge edge keeps every node. Dropping a bridge counts only
+    when it strands a leaf, which goes with it (both ends of a lone edge);
+    parallel and antiparallel edges never form a bridge. Node ids are
+    renumbered 0..n-1 in order, the way pattern graphs number their nodes, so
+    a subgraph the growth has built compares equal to that pattern's graph.
     """
     out = []
     for drop in g.edges:
-        rest = LabeledGraph.of(g.nodes, [e for e in g.edges if e != drop])
-        for comp in connected_components(rest):
-            if comp.n_edges == g.n_edges - 1:
-                out.append(comp)
+        rest = tuple(e for e in g.edges if e != drop)
+        leaves = [v for v in drop[:2] if len(g.incident[v]) == 1]
+        if not leaves and is_connected(g, without=drop):
+            leaves = [None]  # not a bridge: every node stays
+        for leaf in leaves:
+            nodes = [n for n in g.nodes if n[0] != leaf]
+            index = {nid: k for k, (nid, _) in enumerate(nodes)}
+            # an order-preserving renumbering keeps nodes and edges sorted
+            out.append(LabeledGraph(
+                tuple((k, label) for k, (_, label) in enumerate(nodes)),
+                tuple((index[s], index[d], label) for s, d, label in rest),
+            ))
     return out
 
 
 def _finalize(raw: list[tuple[LabeledGraph, CanonicalCode, int]]) -> list[Pattern]:
-    """Order patterns deterministically and complete the subgraph lattice."""
+    """Order patterns deterministically and complete the subgraph lattice.
+
+    A direct subgraph equal to a grown pattern graph takes that pattern's
+    code; only the others are canonicalised.
+    """
     ordered = sorted(raw, key=lambda r: (r[0].n_edges, r[1].sort_key))
     by_code = {code: i for i, (_, code, _) in enumerate(ordered)}
+    grown = {graph: code for graph, code, _ in ordered}
     children: list[set[CanonicalCode]] = [set() for _ in ordered]
     parents: list[set[CanonicalCode]] = [set() for _ in ordered]
     for idx, (graph, code, _) in enumerate(ordered):
         for sub in _direct_subgraphs(graph):
-            sub_code = canonical_code(sub)
+            sub_code = grown.get(sub) or canonical_code(sub)
             j = by_code.get(sub_code)
             if j is not None:
                 children[idx].add(sub_code)

@@ -192,6 +192,101 @@ def test_simulate_exit_codes(tmp_path, text, expected):
     assert (tmp_path / "bundle" / "m1.json").exists() is (expected == 0)
 
 
+def run_cli(args, tmp_path, doc):
+    """Run ``opminer`` in a subprocess on ``doc`` (a JSON value, raw text, or
+    None for a missing file) passed as ``--in``."""
+    source = tmp_path / "doc.json"
+    if doc is not None:
+        source.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "opminer.cli", *args, "--in", str(source)],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+PORT = "t # 0\nv 0 create_Port\n"
+PORT_IN_COMPONENT = "t # 0\nv 0 preserved_Component\nv 1 create_Port\ne 0 1 create_port\n"
+
+
+def pattern_doc(**changes):
+    """A two-pattern document (a Port under a Component and the Port alone),
+    with the fields of the larger pattern overridden by ``changes``."""
+    big = {"support": 2, "graph": PORT_IN_COMPONENT, "children": [1], **changes}
+    return {"threshold": 2, "patterns": [big, {"support": 3, "graph": PORT, "parents": [0]}]}
+
+
+# (case, --in document, documented exit code)
+RANK_EXIT_CODES = [
+    ("ok", pattern_doc(), 0),
+    ("missing input", None, 2),
+    ("malformed json", "{", 2),
+    ("top-level array", [pattern_doc()], 2),
+    ("no patterns", {"threshold": 2}, 2),
+    ("patterns not a list", {"patterns": {"0": pattern_doc()["patterns"][0]}}, 2),
+    ("pattern not an object", {"patterns": ["t # 0"]}, 2),
+    ("graph not text", pattern_doc(graph=7), 2),
+    ("two transactions in a graph", pattern_doc(graph=PORT + PORT.replace("0", "1", 1)), 2),
+    ("disconnected graph", pattern_doc(graph="t # 0\nv 0 a\nv 1 b\n"), 2),
+    ("string support", pattern_doc(support="2"), 2),
+    ("zero support", pattern_doc(support=0), 2),
+    ("parent index out of range", pattern_doc(parents=[2]), 2),
+    ("negative child index", pattern_doc(children=[-1]), 2),
+    ("non-integer child index", pattern_doc(children=[1.0]), 2),
+    ("children not a list", pattern_doc(children=1), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected", [row[1:] for row in RANK_EXIT_CODES], ids=[row[0] for row in RANK_EXIT_CODES]
+)
+def test_rank_exit_codes(tmp_path, doc, expected):
+    out = tmp_path / "ranked.json"
+    proc = run_cli(["rank", "--out", str(out)], tmp_path, doc)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 0:
+        assert [item["support"] for item in json.loads(out.read_text())["items"]] == [2, 3]
+    else:
+        assert proc.stderr.startswith("error: ") and not out.exists()
+
+
+GOOD_ITEM = {"rank": 2, "graph": PORT}
+
+# (case, --in document, documented exit code); exit 1 skips the bad entry
+# and still writes the rule of GOOD_ITEM
+RULES_EXIT_CODES = [
+    ("ok", {"items": [GOOD_ITEM]}, 0),
+    ("pattern document", pattern_doc(), 0),
+    ("missing input", None, 2),
+    ("malformed json", "{", 2),
+    ("top-level array", [GOOD_ITEM], 2),
+    ("neither items nor patterns", {"threshold": 2}, 2),
+    ("items not a list", {"items": GOOD_ITEM}, 2),
+    ("patterns not a list", {"patterns": "t # 0"}, 2),
+    ("entry not an object", {"items": ["t # 0", GOOD_ITEM]}, 1),
+    ("entry without a graph", {"items": [{"rank": 1}, GOOD_ITEM]}, 1),
+    ("two transactions in a graph", {"items": [{"rank": 1, "graph": PORT + PORT}, GOOD_ITEM]}, 1),
+    ("non-integer rank", {"items": [{"rank": "first", "graph": PORT}, GOOD_ITEM]}, 1),
+    ("unprefixed label", {"items": [{"rank": 1, "graph": "t # 0\nv 0 Port\n"}, GOOD_ITEM]}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected", [row[1:] for row in RULES_EXIT_CODES], ids=[row[0] for row in RULES_EXIT_CODES]
+)
+def test_rules_exit_codes(tmp_path, doc, expected):
+    out_dir = tmp_path / "rules"
+    proc = run_cli(["rules", "--out", str(out_dir)], tmp_path, doc)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 2:
+        assert proc.stderr.startswith("error: ")
+    else:
+        assert (out_dir / "rule_0002.json").exists()
+        assert ("warning: pattern at rank" in proc.stderr) is (expected == 1)
+
+
 class TestRankAndRules:
     def test_rank_modes(self, tmp_path, scg_file):
         patterns_path = tmp_path / "patterns.json"

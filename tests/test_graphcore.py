@@ -12,6 +12,7 @@ from opminer.graphcore import (
     connected_components,
     dumps_transactions,
     find_embeddings,
+    is_connected,
     is_subgraph_isomorphic,
     loads_transactions,
 )
@@ -78,6 +79,23 @@ class TestConnectedComponents:
         all_nodes = [n for c in comps for n, _ in c.nodes]
         assert sorted(all_nodes) == sorted(n for n, _ in g.nodes)
         assert len(set(all_nodes)) == len(all_nodes)
+
+
+class TestIsConnected:
+    def test_empty_graph(self):
+        assert not is_connected(g_of([]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_union_find_oracle_with_each_edge_left_out(self, seed):
+        # sparse to dense graphs with parallel and antiparallel edges, so
+        # leaving one edge out sometimes splits the graph and sometimes not
+        rng = random.Random(300 + seed)
+        n_nodes, edge_prob = rng.randint(1, 7), 0.08 * (seed % 5 + 1)
+        g = random_labeled_graph(rng, n_nodes=n_nodes, n_labels=2, edge_prob=edge_prob)
+        assert is_connected(g) == (len(components_oracle(g)) == 1)
+        for drop in g.edges:
+            rest = g_of(g.nodes, [e for e in g.edges if e != drop])
+            assert is_connected(g, without=drop) == (len(components_oracle(rest)) == 1), drop
 
 
 def all_connected_graphs(n_nodes, node_labels, edge_labels):

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from opminer.miner import (
 from oracles import (
     connected_subgraphs_oracle,
     connected_subtrees_oracle,
+    embeddings_oracle,
     frequent_patterns_oracle,
     isomorphic_oracle,
     random_connected_graph,
@@ -171,6 +175,54 @@ class TestLattice:
                 )
                 assert (q.code in ups) == is_strict_super, (p.code.text, q.code.text)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_links_match_direct_subgraph_oracle(self, seed):
+        # dense little graphs: parallel and antiparallel edges, bridges that
+        # strand a leaf or split the graph, and single-edge patterns
+        rng = random.Random(1300 + seed)
+        txns = [
+            random_connected_graph(rng, rng.randint(2, 5), 2, extra_edge_prob=0.4)
+            for _ in range(rng.randint(3, 4))
+        ]
+        patterns = mine(TransactionDB.of(txns), 2)
+        for p in patterns:
+            direct = {
+                q.code
+                for q in patterns
+                if q.graph.n_edges == p.graph.n_edges - 1
+                and embeddings_oracle(q.graph, p.graph)
+            }
+            assert set(p.children) == direct, p.code.text
+            assert len(p.children) == len(direct)
+        for q in patterns:
+            assert set(q.parents) == {p.code for p in patterns if q.code in p.children}
+            assert len(set(q.parents)) == len(q.parents)
+
+
+GOLDEN_MINE = Path(__file__).parent / "data" / "mine_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN_MINE.read_text())["cases"], ids=lambda case: case["name"]
+)
+def test_golden_pattern_documents(case):
+    from opminer.cli import patterns_to_doc
+    from opminer.evalharness import bundle_to_db
+    from opminer.simgen import SimConfig, default_catalogs, simulate
+
+    core, pert = default_catalogs(both_core_rules=case["rules"] == "experiment2")
+    config = SimConfig(
+        d=case["d"], e=case["e"], p=case["p"], seed=case["seed"],
+        core_rules=core, perturbations=pert,
+    )
+    db = bundle_to_db(simulate(config))
+    threshold = calibrate_threshold(db)
+    assert threshold == case["threshold"]
+    doc = patterns_to_doc(mine(db, threshold), threshold, False)
+    assert len(doc["patterns"]) == case["patterns"]
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
+
 
 class TestBudgetAndCaps:
     def test_budget_exceeded_carries_partials(self):
@@ -184,12 +236,13 @@ class TestBudgetAndCaps:
     @pytest.mark.parametrize("ticks", [3, 20, 80])
     def test_partial_patterns_are_exact(self, ticks, monkeypatch):
         # depth-first growth stops mid-lattice, so partial results are not
-        # whole levels; every pattern they hold must still be exact. A clock
-        # that advances one second per reading makes the stop deterministic.
+        # whole levels; every pattern they hold must still be exact, and its
+        # links are its full links among the partial set. A clock that
+        # advances one second per reading makes the stop deterministic.
         rng = random.Random(11)
         txns = [random_connected_graph(rng, 5, 2) for _ in range(4)]
         db = TransactionDB.of(txns)
-        full = {p.code: p.support for p in mine(db, 2)}
+        full = {p.code: p for p in mine(db, 2)}
         clock = itertools.count()
         fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
         monkeypatch.setattr(miner, "time", fake_time)
@@ -197,8 +250,11 @@ class TestBudgetAndCaps:
             mine(db, 2, config=MinerConfig(time_budget_s=ticks))
         partial = exc_info.value.partial
         assert 0 < len(partial) < len(full)
+        kept = {p.code for p in partial}
         for p in partial:
-            assert full[p.code] == p.support
+            assert full[p.code].support == p.support
+            assert p.children == tuple(c for c in full[p.code].children if c in kept)
+            assert p.parents == tuple(c for c in full[p.code].parents if c in kept)
 
 
 class TestCalibration:
