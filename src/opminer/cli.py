@@ -7,6 +7,7 @@ Stages hand off through files so partial runs stay inspectable. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import time
 from pathlib import Path
 
 from .evalharness import (
+    EvalError,
     GridSpec,
     ThresholdSpec,
     format_map_tables,
@@ -187,10 +189,10 @@ def cmd_diff(args) -> int:
         scg = simple_change_graph(difference_graph(old, new))
         components = change_components(scg)
         text = dumps_transactions([c.graph for c in components])
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except (ModelError, GraphError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
     counts = change_counts(scg)
     print(f"components: {len(components)}")
     print(f"created: {counts['created']}")
@@ -353,11 +355,11 @@ def cmd_eval(args) -> int:
         spec = GridSpec.from_json(_read_json(args.grid))
         if args.jobs is not None:
             spec = GridSpec.from_json({**spec.to_json(), "jobs": args.jobs})
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, json.JSONDecodeError, EvalError) as exc:
         return _fail(str(exc))
     result = run_grid(spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
     _write_json(
         {
@@ -380,7 +382,7 @@ def cmd_report(args) -> int:
         path = path / "report.csv"
     try:
         rows = read_report_csv(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error, EvalError) as exc:
         return _fail(str(exc))
     print(format_map_tables(rows), end="")
     return OK

@@ -29,7 +29,15 @@ from .miner import (
 )
 from .modeldiff import change_components, difference_graph, simple_change_graph
 from .ranker import RankedList, prune, rank
-from .simgen import RepoBundle, SimConfig, default_catalogs, simulate
+from .simgen import (
+    RepoBundle,
+    SimConfig,
+    SimError,
+    check_counts,
+    default_catalogs,
+    default_metamodel,
+    simulate,
+)
 
 log = logging.getLogger(__name__)
 
@@ -117,25 +125,51 @@ class ThresholdSpec:
     mode: str = "calibrate"
     value: float | None = None
 
+    def __post_init__(self) -> None:
+        number = _is_number(self.value)
+        if self.mode == "fixed":
+            if not (number and self.value == int(self.value) and self.value >= 1):
+                raise EvalError("fixed threshold needs a positive integer value")
+        elif self.mode == "relative":
+            if not (number and 0 < self.value <= 1):
+                raise EvalError("relative threshold needs a ratio in (0, 1]")
+        elif self.mode != "calibrate":
+            raise EvalError(f"unknown threshold mode {self.mode!r}")
+
     def resolve(self, db: TransactionDB, calibration: CalibrationConfig) -> int:
         if self.mode == "fixed":
-            if self.value is None or int(self.value) != self.value or self.value < 1:
-                raise EvalError("fixed threshold needs a positive integer value")
             return int(self.value)
         if self.mode == "relative":
-            if self.value is None or not 0 < self.value <= 1:
-                raise EvalError("relative threshold needs a ratio in (0, 1]")
             return max(1, math.ceil(self.value * len(db)))
-        if self.mode == "calibrate":
-            return calibrate_threshold(db, calibration)
-        raise EvalError(f"unknown threshold mode {self.mode!r}")
+        return calibrate_threshold(db, calibration)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "value": self.value}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ThresholdSpec":
+        if not isinstance(doc, Mapping):
+            raise EvalError("grid threshold must be an object")
         return cls(doc.get("mode", "calibrate"), doc.get("value"))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _grid_values(key: str, values, ok, what: str) -> tuple:
+    """``values`` as a tuple; EvalError unless it is a list whose every entry
+    is a number (not a bool) passing ``ok``."""
+    if not isinstance(values, list) or not all(_is_number(v) and ok(v) for v in values):
+        raise EvalError(f"grid {key!r} must be a list of {what}")
+    return tuple(values)
+
+
+RULE_SETS = ("experiment1", "experiment2")
 
 
 @dataclass(frozen=True)
@@ -178,20 +212,37 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GridSpec":
+        """Parse a grid document; EvalError names the first malformed field."""
+        if not isinstance(doc, Mapping):
+            raise EvalError("grid spec must be a JSON object")
         seeds = doc.get("seeds", [0])
-        if isinstance(seeds, int):
+        if type(seeds) is int and seeds >= 0:
             seeds = list(range(seeds))
+        rules = doc.get("rules", "experiment1")
+        if rules not in RULE_SETS:
+            raise EvalError(f"grid 'rules' must be one of {', '.join(RULE_SETS)}")
+        jobs, budget = doc.get("jobs", 1), doc.get("timeBudgetS", 300.0)
+        if not (type(jobs) is int and jobs >= 1):
+            raise EvalError("grid 'jobs' must be a positive integer")
+        if not (_is_number(budget) and budget > 0):
+            raise EvalError("grid 'timeBudgetS' must be a positive number")
+        counts = doc.get("initialCounts")
+        if counts is not None:
+            try:
+                check_counts(default_metamodel(), counts)
+            except SimError as exc:
+                raise EvalError(f"grid 'initialCounts': {exc}") from None
         return cls(
-            d_values=tuple(doc["d"]),
-            e_values=tuple(doc["e"]),
-            p_values=tuple(doc["p"]),
-            seeds=tuple(seeds),
-            rules=doc.get("rules", "experiment1"),
+            d_values=_grid_values("d", doc.get("d"), _positive, "integers of at least 1"),
+            e_values=_grid_values("e", doc.get("e"), _positive, "integers of at least 1"),
+            p_values=_grid_values("p", doc.get("p"), lambda v: 0 <= v <= 1, "numbers in [0, 1]"),
+            seeds=_grid_values("seeds", seeds, lambda v: type(v) is int, "integers"),
+            rules=rules,
             threshold=ThresholdSpec.from_json(doc.get("threshold", {})),
-            ks=tuple(doc.get("k", DEFAULT_KS)),
-            jobs=int(doc.get("jobs", 1)),
-            initial_counts=doc.get("initialCounts"),
-            time_budget_s=float(doc.get("timeBudgetS", 300.0)),
+            ks=_grid_values("k", doc.get("k", list(DEFAULT_KS)), _positive, "integers of at least 1"),
+            jobs=jobs,
+            initial_counts=counts,
+            time_budget_s=float(budget),
         )
 
 
@@ -348,21 +399,39 @@ def write_report_csv(rows: Iterable[dict], path, ks: Sequence[int] = DEFAULT_KS)
             writer.writerow({c: ("" if row.get(c) is None else row.get(c)) for c in cols})
 
 
+_INT_COLUMNS = ("d", "e", "seed", "threshold", "size_at_threshold", "rank_truth_1", "rank_truth_2")
+
+
 def read_report_csv(path) -> list[dict]:
+    """Rows of a ``write_report_csv`` file, an empty cell read as None.
+
+    EvalError unless the file has the d, e, p, seed and mode columns, no row
+    has more cells than columns, every ap@ cell is filled and every filled
+    cell but mode is a number.
+    """
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = sorted({"d", "e", "p", "seed", "mode"} - set(reader.fieldnames or ()))
+        if missing:
+            raise EvalError(f"{path}: report has no {', '.join(missing)} column")
+        for raw in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in raw:
+                raise EvalError(f"{where}: more cells than columns")
             row: dict = {}
             for key, val in raw.items():
                 if val == "" or val is None:
+                    if key.startswith("ap@"):
+                        raise EvalError(f"{where}: empty {key}")
                     row[key] = None
-                elif key in ("d", "e", "seed", "threshold", "size_at_threshold",
-                             "rank_truth_1", "rank_truth_2"):
-                    row[key] = int(float(val))
                 elif key == "mode":
                     row[key] = val
                 else:
-                    row[key] = float(val)
+                    try:
+                        row[key] = int(float(val)) if key in _INT_COLUMNS else float(val)
+                    except (ValueError, OverflowError):
+                        raise EvalError(f"{where}: {key} {val!r} is not a number") from None
             out.append(row)
     return out
 

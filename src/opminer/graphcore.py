@@ -72,15 +72,17 @@ class LabeledGraph:
         return frozenset(self.edges)
 
     @cached_property
-    def incident(self) -> dict[int, tuple[tuple[int, int, str], ...]]:
-        """Per node: (other endpoint, direction flag, edge label) in both directions.
+    def incident(self) -> dict[int, tuple[tuple[int, int, str, str], ...]]:
+        """Per node: (other endpoint, direction flag, edge label, other endpoint's
+        label) in both directions.
 
         Direction flag 0 means the edge leaves this node, 1 means it enters.
         """
-        inc: dict[int, list[tuple[int, int, str]]] = {nid: [] for nid, _ in self.nodes}
+        labels = self.label_map
+        inc: dict[int, list[tuple[int, int, str, str]]] = {nid: [] for nid, _ in self.nodes}
         for src, dst, label in self.edges:
-            inc[src].append((dst, 0, label))
-            inc[dst].append((src, 1, label))
+            inc[src].append((dst, 0, label, labels[dst]))
+            inc[dst].append((src, 1, label, labels[src]))
         return {nid: tuple(sorted(items)) for nid, items in inc.items()}
 
     @property
@@ -132,7 +134,7 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w, _, _ in g.incident[v]:
+            for w, *_ in g.incident[v]:
                 if w in unvisited:
                     del unvisited[w]
                     stack.append(w)
@@ -148,7 +150,7 @@ def is_connected(g: LabeledGraph, without: tuple[int, int, str] | None = None) -
     stack = list(seen)
     while stack:
         v = stack.pop()
-        for w, dflag, label in g.incident[v]:
+        for w, dflag, label, _ in g.incident[v]:
             if w not in seen and ((v, w, label) if dflag == 0 else (w, v, label)) != without:
                 seen.add(w)
                 stack.append(w)
@@ -274,7 +276,7 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
             mapped = set(order)
             for jdx in rmpath[:-1]:
                 u = order[jdx]
-                for w, dflag, el in incident[vr]:
+                for w, dflag, el, _ in incident[vr]:
                     if w != u:
                         continue
                     triple = (vr, w, el) if dflag == 0 else (w, vr, el)
@@ -284,11 +286,11 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
                     candidates.setdefault(entry, []).append((order, covered, triple))
             for idx in rmpath:
                 x = order[idx]
-                for w, dflag, el in incident[x]:
+                for w, dflag, el, wl in incident[x]:
                     if w in mapped:
                         continue
                     triple = (x, w, el) if dflag == 0 else (w, x, el)
-                    entry = (idx, nidx, dflag, labels[x], el, labels[w])
+                    entry = (idx, nidx, dflag, labels[x], el, wl)
                     candidates.setdefault(entry, []).append((order + (w,), covered, triple))
 
         for entry in sorted(candidates, key=_entry_key):
@@ -320,7 +322,7 @@ def _search_order(needle: LabeledGraph) -> list[int]:
     placed: set[int] = set()
     while remaining:
         adjacent = sorted(
-            v for v in remaining if any(w in placed for w, _, _ in needle.incident[v])
+            v for v in remaining if any(w in placed for w, *_ in needle.incident[v])
         )
         pick = adjacent[0] if adjacent else min(remaining)
         order.append(pick)
@@ -355,7 +357,7 @@ def find_embeddings(needle: LabeledGraph, hay: LabeledGraph) -> Iterator[dict[in
             if h in used:
                 continue
             ok = True
-            for w, dflag, el in needle.incident[v]:
+            for w, dflag, el, _ in needle.incident[v]:
                 if w not in mapping:
                     continue
                 need = (h, mapping[w], el) if dflag == 0 else (mapping[w], h, el)

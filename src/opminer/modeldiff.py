@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .graphcore import LabeledGraph, connected_components
@@ -21,12 +21,14 @@ PRESERVED = "preserved_"
 CREATE = "create_"
 DELETE = "delete_"
 PREFIXES = (PRESERVED, CREATE, DELETE)
+_CLASH = {CREATE: DELETE, DELETE: CREATE}  # an edge's prefix -> the node prefix it must not touch
 
 
 class ModelError(ValueError):
     """Malformed model, meta-model, or a conformance violation."""
 
 
+@lru_cache(maxsize=1024)
 def split_prefix(label: str) -> tuple[str, str]:
     """Split a change-graph label into (prefix, type name); error if unprefixed."""
     for prefix in PREFIXES:
@@ -370,6 +372,13 @@ class ChangeGraph:
 
     Node labels are <prefix><NodeType>, edge labels <prefix><EdgeType>.
     Provenance maps node id to (uid, origin) with origin in {old, new, both}.
+
+    ``of`` checks that every label carries a change prefix, that every node
+    has provenance, and that no create_ edge touches a delete_ node nor a
+    delete_ edge a create_ node; it splits each node label once. Each check
+    reads one node, or one edge and its two endpoints, and a subgraph keeps
+    those with the same labels and provenance, so every subgraph of a checked
+    change graph passes: ``restrict`` takes subgraphs without checking again.
     """
 
     graph: LabeledGraph
@@ -385,18 +394,26 @@ class ChangeGraph:
     def provenance_map(self) -> dict[int, tuple[str, str]]:
         return dict(self.provenance)
 
+    def restrict(self, graph: LabeledGraph) -> "ChangeGraph":
+        """The change graph on ``graph``, a subgraph of this one's graph (same
+        node ids and labels), with provenance taken from this one. Trusted: a
+        subgraph of a checked change graph passes every check of ``of``."""
+        provenance = self.provenance_map
+        return ChangeGraph(graph, tuple((nid, provenance[nid]) for nid, _ in graph.nodes))
+
     def _validate(self) -> None:
+        node_prefix = {}
         for nid, label in self.graph.nodes:
-            split_prefix(label)
+            node_prefix[nid], _ = split_prefix(label)
             if nid not in self.provenance_map:
                 raise ModelError(f"node {nid} has no provenance entry")
         for src, dst, label in self.graph.edges:
             prefix, _ = split_prefix(label)
+            clash = _CLASH.get(prefix)
             for endpoint in (src, dst):
-                np, _ = split_prefix(self.graph.label(endpoint))
-                if {prefix, np} == {CREATE, DELETE}:
+                if node_prefix[endpoint] == clash:
                     raise ModelError(
-                        f"{prefix.rstrip('_')} edge ({src},{dst}) touches a {np}node"
+                        f"{prefix.rstrip('_')} edge ({src},{dst}) touches a {clash}node"
                     )
 
     def min_uid(self) -> str:
@@ -456,16 +473,12 @@ def simple_change_graph(dg: ChangeGraph) -> ChangeGraph:
         n for s, d, _ in changed_edges for n in (s, d) if n not in changed_nodes
     }
     keep = changed_nodes | boundary
-    sub = LabeledGraph.of([(n, g.label(n)) for n in keep], changed_edges)
-    return ChangeGraph.of(sub, {n: dg.provenance_map[n] for n in keep})
+    return dg.restrict(LabeledGraph.of([(n, g.label(n)) for n in keep], changed_edges))
 
 
 def change_components(cg: ChangeGraph) -> list[ChangeGraph]:
     """Connected components of a change graph, ordered by smallest provenance uid."""
-    comps = []
-    for comp in connected_components(cg.graph):
-        ids = {n for n, _ in comp.nodes}
-        comps.append(ChangeGraph.of(comp, {n: cg.provenance_map[n] for n in ids}))
+    comps = [cg.restrict(comp) for comp in connected_components(cg.graph)]
     return sorted(comps, key=lambda c: c.min_uid())
 
 

@@ -155,6 +155,20 @@ def default_catalogs(both_core_rules: bool = False) -> tuple[tuple[EditRule, ...
     return core, perturbation_rules()
 
 
+def check_counts(metamodel: MetaModel, counts: Mapping[str, int]) -> None:
+    """Raise SimError unless ``counts`` maps type names of ``metamodel`` to
+    non-negative integers."""
+    if not isinstance(counts, Mapping):
+        raise SimError("instance spec must map type names to counts")
+    for typ, count in counts.items():
+        if typ not in metamodel.node_types:
+            raise SimError(f"instance spec names unknown type {typ!r}")
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise SimError(f"count for {typ!r} is not an integer: {count!r}")
+        if count < 0:
+            raise SimError(f"negative count for {typ!r}")
+
+
 def build_initial(
     metamodel: MetaModel, counts: Mapping[str, int], seed: int
 ) -> ModelVersion:
@@ -168,15 +182,7 @@ def build_initial(
     must map type names to non-negative integers.
     """
     rng = Random(seed)
-    if not isinstance(counts, Mapping):
-        raise SimError("instance spec must map type names to counts")
-    for typ, count in counts.items():
-        if typ not in metamodel.node_types:
-            raise SimError(f"instance spec names unknown type {typ!r}")
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise SimError(f"count for {typ!r} is not an integer: {count!r}")
-        if count < 0:
-            raise SimError(f"negative count for {typ!r}")
+    check_counts(metamodel, counts)
 
     uids: dict[str, list[str]] = {
         typ: [f"{typ}-{i}" for i in range(counts.get(typ, 0))]

@@ -181,3 +181,23 @@ def random_connected_graph(rng, n_nodes, n_labels, extra_edge_prob=0.25, edge_la
             if s != d and rng.random() < extra_edge_prob:
                 edges.add((s, d, rng.choice(edge_labels)))
     return LabeledGraph.of(nodes, edges)
+
+
+def random_multi_digraph(rng, n_nodes):
+    """Connected labelled digraph with antiparallel and parallel edge pairs."""
+    nodes = [(i, rng.choice("AB")) for i in range(n_nodes)]
+    edges = set()
+    for v in range(1, n_nodes):
+        u = rng.randrange(v)
+        edges.add((u, v, rng.choice("xy")) if rng.random() < 0.5 else (v, u, rng.choice("xy")))
+    for _ in range(rng.randint(2, n_nodes // 2 + 2)):
+        s, d, label = rng.choice(sorted(edges))
+        kind = rng.random()
+        if kind < 0.35:
+            edges.add((d, s, rng.choice("xy")))  # antiparallel
+        elif kind < 0.7:
+            edges.add((s, d, "y" if label == "x" else "x"))  # parallel, other label
+        else:
+            a, b = rng.sample(range(n_nodes), 2)
+            edges.add((a, b, rng.choice("xy")))
+    return LabeledGraph.of(nodes, edges)

@@ -287,6 +287,145 @@ def test_rules_exit_codes(tmp_path, doc, expected):
         assert ("warning: pattern at rank" in proc.stderr) is (expected == 1)
 
 
+def run_opminer(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "opminer.cli", *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+# (case, old, new, --out, --metamodel or None, documented exit code); "old",
+# "new" and "mm" name the fig_files, "bad" a malformed JSON file, "missing" an
+# absent file, "nodir" a path in an absent directory and "dir" a directory
+DIFF_EXIT_CODES = [
+    ("ok", "old", "new", "scg.txt", "mm", 0),
+    ("missing old model", "missing", "new", "scg.txt", None, 2),
+    ("malformed new model", "old", "bad", "scg.txt", None, 2),
+    ("malformed meta-model", "old", "new", "scg.txt", "bad", 2),
+    ("model does not conform", "old", "new", "scg.txt", "empty-mm", 2),
+    ("output directory missing", "old", "new", "nodir", None, 2),
+    ("output is a directory", "old", "new", "dir", None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, out, mm, expected", [row[1:] for row in DIFF_EXIT_CODES],
+    ids=[row[0] for row in DIFF_EXIT_CODES],
+)
+def test_diff_exit_codes(tmp_path, fig_files, old, new, out, mm, expected):
+    old_path, new_path, mm_path = fig_files
+    (tmp_path / "bad").write_text("{", encoding="utf-8")
+    (tmp_path / "empty-mm").write_text(
+        json.dumps({"nodeTypes": [], "edgeTypes": []}), encoding="utf-8"
+    )
+    (tmp_path / "dir").mkdir()
+    paths = {
+        "old": old_path, "new": new_path, "mm": mm_path,
+        "nodir": tmp_path / "absent" / "scg.txt",
+    }
+    resolve = lambda name: paths.get(name, tmp_path / name)
+    metamodel = ["--metamodel", resolve(mm)] if mm else []
+    proc = run_opminer("diff", resolve(old), resolve(new), "--out", resolve(out), *metamodel)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 0:
+        assert "components: 1" in proc.stdout
+        assert len(loads_transactions(resolve(out).read_text())) == 1
+    else:
+        assert proc.stderr.startswith("error: ")
+
+
+def grid(**changes):
+    """A one-cell grid on small counts at a fixed threshold, with ``changes``;
+    a change to ``None`` drops the key."""
+    doc = {
+        "d": [1], "e": [1], "p": [0.0], "seeds": [1],
+        "threshold": {"mode": "fixed", "value": 1}, "k": [1],
+        "initialCounts": SMALL_COUNTS, **changes,
+    }
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+# (case, --grid document as for run_cli, documented exit code)
+EVAL_EXIT_CODES = [
+    ("ok", grid(), 0),
+    ("seed count", grid(seeds=1), 0),
+    ("missing grid", None, 2),
+    ("malformed json", "{", 2),
+    ("top-level array", [grid()], 2),
+    ("no d", grid(d=None), 2),
+    ("d not a list", grid(d="x"), 2),
+    ("zero e", grid(e=[0]), 2),
+    ("boolean d", grid(d=[True]), 2),
+    ("p above one", grid(p=[1.5]), 2),
+    ("string seed", grid(seeds=["1"]), 2),
+    ("unknown rules", grid(rules="experimentX"), 2),
+    ("threshold not an object", grid(threshold=2), 2),
+    ("unknown threshold mode", grid(threshold={"mode": "median"}), 2),
+    ("fixed threshold without value", grid(threshold={"mode": "fixed"}), 2),
+    ("relative threshold above one", grid(threshold={"mode": "relative", "value": 2}), 2),
+    ("zero k", grid(k=[0]), 2),
+    ("zero jobs", grid(jobs=0), 2),
+    ("string budget", grid(timeBudgetS="abc"), 2),
+    ("counts not an object", grid(initialCounts=[1]), 2),
+    ("unknown type in counts", grid(initialCounts={"Widget": 1}), 2),
+    ("negative count", grid(initialCounts={**SMALL_COUNTS, "Port": -1}), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected", [row[1:] for row in EVAL_EXIT_CODES], ids=[row[0] for row in EVAL_EXIT_CODES]
+)
+def test_eval_exit_codes(tmp_path, doc, expected):
+    source = tmp_path / "grid.json"
+    if doc is not None:
+        source.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "evalout"
+    proc = run_opminer("eval", "--grid", source, "--out", out)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 0:
+        assert "MAP@1" in proc.stdout and (out / "summary.json").exists()
+    else:
+        assert proc.stderr.startswith("error: ") and not out.exists()
+
+
+REPORT_HEADER = (
+    "d,e,p,seed,threshold,mining_ms,avg_nodes_per_component,size_at_threshold,"
+    "rank_truth_1,rank_truth_2,ap@1,ap@inf,mode\n"
+)
+REPORT_ROW = "1,1,0.0,1,1,2.5,3.0,3,1,,1.0,1.0,compression\n"
+
+# (case, --in report text as for run_cli, documented exit code)
+REPORT_EXIT_CODES = [
+    ("ok", REPORT_HEADER + REPORT_ROW, 0),
+    ("header only", REPORT_HEADER, 0),
+    ("missing report", None, 2),
+    ("empty file", "", 2),
+    ("no mode column", REPORT_HEADER.replace(",mode", "") + REPORT_ROW.replace(",compression", ""), 2),
+    ("no seed column", REPORT_HEADER.replace(",seed", "") + REPORT_ROW.replace(",1,1,2.5", ",1,2.5"), 2),
+    ("non-numeric ap", REPORT_HEADER + REPORT_ROW.replace("1.0,1.0", "high,1.0"), 2),
+    ("empty ap", REPORT_HEADER + REPORT_ROW.replace("1.0,1.0", ",1.0"), 2),
+    ("non-numeric d", REPORT_HEADER + "x" + REPORT_ROW[1:], 2),
+    ("more cells than columns", REPORT_HEADER + REPORT_ROW.replace("\n", ",extra\n"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [row[1:] for row in REPORT_EXIT_CODES],
+    ids=[row[0] for row in REPORT_EXIT_CODES],
+)
+def test_report_exit_codes(tmp_path, text, expected):
+    proc = run_cli(["report"], tmp_path, text)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 0:
+        assert ("MAP@1" in proc.stdout) is (text != REPORT_HEADER)
+    else:
+        assert proc.stderr.startswith("error: ")
+
+
 class TestRankAndRules:
     def test_rank_modes(self, tmp_path, scg_file):
         patterns_path = tmp_path / "patterns.json"

@@ -22,6 +22,7 @@ from oracles import (
     isomorphic_oracle,
     random_connected_graph,
     random_labeled_graph,
+    random_multi_digraph,
 )
 
 
@@ -260,26 +261,6 @@ class TestTransactionFormat:
         assert loads_transactions(dumps_transactions(graphs)) == graphs
 
 
-def random_multi_digraph(rng, n_nodes):
-    """Connected labelled digraph with antiparallel and parallel edge pairs."""
-    nodes = [(i, rng.choice("AB")) for i in range(n_nodes)]
-    edges = set()
-    for v in range(1, n_nodes):
-        u = rng.randrange(v)
-        edges.add((u, v, rng.choice("xy")) if rng.random() < 0.5 else (v, u, rng.choice("xy")))
-    for _ in range(rng.randint(2, n_nodes // 2 + 2)):
-        s, d, label = rng.choice(sorted(edges))
-        kind = rng.random()
-        if kind < 0.35:
-            edges.add((d, s, rng.choice("xy")))  # antiparallel
-        elif kind < 0.7:
-            edges.add((s, d, "y" if label == "x" else "x"))  # parallel, other label
-        else:
-            a, b = rng.sample(range(n_nodes), 2)
-            edges.add((a, b, rng.choice("xy")))
-    return LabeledGraph.of(nodes, edges)
-
-
 def mutate_once(rng, g):
     """Copy differing in one node label, one edge label or one edge direction."""
     nodes, edges = dict(g.nodes), set(g.edges)
@@ -301,24 +282,69 @@ def shuffled_ids(rng, g):
     return g.relabel_ids(dict(zip(ids, fresh)))
 
 
+def as_nx(g):
+    """A networkx DiGraph with a node label and, per ordered pair, the set of
+    edge labels (parallel edges differ by label)."""
+    import networkx as nx
+
+    h = nx.DiGraph()
+    h.add_nodes_from((n, {"label": label}) for n, label in g.nodes)
+    for s, d, label in g.edges:
+        if h.has_edge(s, d):
+            h[s][d]["labels"] |= {label}
+        else:
+            h.add_edge(s, d, labels=frozenset({label}))
+    return h
+
+
+def same_label(x, y):
+    return x["label"] == y["label"]
+
+
 def networkx_isomorphic(a, b):
     import networkx as nx
 
-    def as_nx(g):
-        h = nx.DiGraph()
-        h.add_nodes_from((n, {"label": label}) for n, label in g.nodes)
-        for s, d, label in g.edges:
-            if h.has_edge(s, d):
-                h[s][d]["labels"] |= {label}
-            else:
-                h.add_edge(s, d, labels=frozenset({label}))
-        return h
-
     return nx.is_isomorphic(
         as_nx(a), as_nx(b),
-        node_match=lambda x, y: x["label"] == y["label"],
+        node_match=same_label,
         edge_match=lambda x, y: x["labels"] == y["labels"],
     )
+
+
+def networkx_embeddings(needle, hay):
+    """Every embedding as VF2 subgraph monomorphisms (not induced) of needle
+    into hay, each needle edge label present between the image nodes."""
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    matcher = DiGraphMatcher(
+        as_nx(hay), as_nx(needle),
+        node_match=same_label,
+        edge_match=lambda h, n: n["labels"] <= h["labels"],
+    )
+    return [{n: h for h, n in m.items()} for m in matcher.subgraph_monomorphisms_iter()]
+
+
+def random_piece(rng, g, n_nodes, extra_prob):
+    """A connected subgraph of g: the spanning edges of a random growth to up
+    to ``n_nodes`` nodes plus each other edge among them with ``extra_prob``."""
+    start = rng.choice([n for n, _ in g.nodes])
+    keep, spanning = {start}, set()
+    while len(keep) < n_nodes:
+        frontier = [
+            (v, (v, w, el) if dflag == 0 else (w, v, el))
+            for v in sorted(keep)
+            for w, dflag, el, _ in g.incident[v]
+            if w not in keep
+        ]
+        if not frontier:
+            break
+        v, edge = rng.choice(frontier)
+        keep.add(edge[1] if edge[0] == v else edge[0])
+        spanning.add(edge)
+    edges = spanning | {
+        e for e in g.edges if e[0] in keep and e[1] in keep and rng.random() < extra_prob
+    }
+    return LabeledGraph.of([(n, g.label(n)) for n in keep], edges)
 
 
 class TestCanonicalCodeAgainstNetworkx:
@@ -333,3 +359,22 @@ class TestCanonicalCodeAgainstNetworkx:
         assert canonical_code(a) == canonical_code(copy)
         for b in (shuffled_ids(rng, mutate_once(rng, a)), random_multi_digraph(rng, a.n_nodes)):
             assert (canonical_code(a) == canonical_code(b)) == networkx_isomorphic(a, b)
+
+
+class TestFindEmbeddingsAgainstNetworkx:
+    """VF2 subgraph monomorphism as a second oracle for ``find_embeddings``,
+    on hosts of 10 to 16 nodes, past what the permutation oracle reaches."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_embeddings_equal_vf2_monomorphisms(self, seed):
+        rng = random.Random(8000 + seed)
+        hay = random_multi_digraph(rng, rng.randint(10, 16))
+        piece = shuffled_ids(rng, random_piece(rng, hay, rng.randint(3, 7), 0.5))
+        tree = shuffled_ids(rng, random_piece(rng, hay, rng.randint(2, 4), 0.0))
+        needles = [piece, mutate_once(rng, piece), tree, random_multi_digraph(rng, 3)]
+        for needle in needles:
+            got = sorted(sorted(m.items()) for m in find_embeddings(needle, hay))
+            expected = sorted(sorted(m.items()) for m in networkx_embeddings(needle, hay))
+            assert got == expected, needle
+        assert next(find_embeddings(piece, hay), None) is not None
+        assert next(find_embeddings(tree, hay), None) is not None

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from opminer import miner
-from opminer.graphcore import LabeledGraph, canonical_code
+from opminer.graphcore import CanonicalCode, LabeledGraph, canonical_code
 from opminer.miner import (
     CalibrationConfig,
     MinerConfig,
@@ -26,6 +27,7 @@ from oracles import (
     frequent_patterns_oracle,
     isomorphic_oracle,
     random_connected_graph,
+    random_multi_digraph,
 )
 
 
@@ -197,6 +199,85 @@ class TestLattice:
         for q in patterns:
             assert set(q.parents) == {p.code for p in patterns if q.code in p.children}
             assert len(set(q.parents)) == len(q.parents)
+
+
+def rightmost_extensions(db, node, trees_only, max_nodes):
+    """Every code entry that extends a growth node by one transaction edge on
+    its rightmost path, read off the transactions' edge lists, no rule applied."""
+    graph, code, rmpath, projections = node
+    labels, n, r = graph.label_map, graph.n_nodes, rmpath[-1]
+    entries = set()
+    for tid, embs in projections.items():
+        txn = db.transactions[tid]
+        for emb in embs:
+            index = {v: k for k, v in enumerate(emb)}
+            for s, d, el in txn.edges:
+                a, b = index.get(s), index.get(d)
+                if a is not None and b is not None:
+                    if trees_only or r not in (a, b) or (a, b, el) in graph.edge_set:
+                        continue
+                    j = b if a == r else a
+                    if j in rmpath:
+                        entries.add((r, j, 0 if a == r else 1, labels[r], el, labels[j]))
+                elif (a if b is None else b) in rmpath and (max_nodes is None or n < max_nodes):
+                    i, w, dflag = (a, d, 0) if b is None else (b, s, 1)
+                    entries.add((i, n, dflag, labels[i], el, txn.label(w)))
+    return entries
+
+
+def child_graph(graph, entry):
+    i, j, dflag, _, el, to_label = entry
+    nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
+    edge = (i, j, el) if dflag == 0 else (j, i, el)
+    return LabeledGraph.of(nodes, graph.edges + (edge,))
+
+
+def named_rule(code, rmpath, entry):
+    """The gSpan rule that rejects ``entry`` as an extension of ``code``, or None."""
+    i, j, dflag, _, el, to_label = entry
+    successor = dict(zip(rmpath, rmpath[1:]))
+    path_key = {e[1]: (e[2], e[4], e[5]) for e in code.entries if e[1] > e[0]}
+    if j < i:
+        return "backward" if (1 - dflag, el, entry[3]) < path_key[successor[j]] else None
+    if to_label < code.root_label:
+        return "root"
+    if i in successor and (dflag, el, to_label) < path_key[successor[i]]:
+        return "leaf"
+    return None
+
+
+class TestGrowthRules:
+    """``_children`` drops exactly the extensions its three rules name, before
+    collecting their projections, and each of them has a non-minimal code."""
+
+    @pytest.mark.parametrize("trees_only", [False, True], ids=["graphs", "trees"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rejected_extensions_are_not_minimal(self, seed, trees_only, monkeypatch):
+        # Threshold 1 makes every extension frequent, so ``_children`` asks
+        # ``canonical_code`` about each one its rules let through; the rest
+        # were rejected by a rule.
+        rng = random.Random(9100 + seed)
+        db = TransactionDB.of([random_multi_digraph(rng, rng.randint(4, 6)) for _ in range(3)])
+        asked = set()
+        monkeypatch.setattr(miner, "canonical_code", lambda g: asked.add(g) or canonical_code(g))
+        max_nodes = 5 if trees_only else None
+        rejected = collections.Counter()
+        stack = miner._seeds(db, 1)
+        while stack:
+            node = stack.pop()
+            graph, code, rmpath, _ = node
+            asked.clear()
+            children = miner._children(db, node, 1, trees_only, max_nodes, lambda: None)
+            for entry in rightmost_extensions(db, node, trees_only, max_nodes):
+                child = child_graph(graph, entry)
+                rule = named_rule(code, rmpath, entry)
+                assert (child not in asked) == (rule is not None), (code.text, entry)
+                if rule is not None:
+                    extended = CanonicalCode(code.root_label, code.entries + (entry,))
+                    assert canonical_code(child) != extended, (code.text, entry)
+                    rejected[rule] += 1
+            stack.extend(children)
+        assert {"root", "leaf"} | (set() if trees_only else {"backward"}) <= set(rejected)
 
 
 GOLDEN_MINE = Path(__file__).parent / "data" / "mine_golden.json"

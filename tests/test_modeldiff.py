@@ -217,7 +217,34 @@ class TestProperties:
         assert changed_edges_dg <= set(scg.graph.edges)
 
 
+# (case, nodes, edges, provenance, message of the ModelError ``ChangeGraph.of`` raises)
+INVALID_CHANGE_GRAPHS = [
+    ("delete edge touching a create node",
+     [(0, "preserved_Component"), (1, "create_Port")], [(0, 1, "delete_port")],
+     {0: ("a", "both"), 1: ("b", "new")}, "delete edge (0,1) touches a create_node"),
+    ("unprefixed node label",
+     [(0, "Component")], [], {0: ("a", "both")}, "label 'Component' carries no change prefix"),
+    ("unprefixed edge label",
+     [(0, "create_Component"), (1, "create_Port")], [(0, 1, "port")],
+     {0: ("a", "new"), 1: ("b", "new")}, "label 'port' carries no change prefix"),
+    ("node without provenance",
+     [(0, "create_Component"), (1, "create_Port")], [(0, 1, "create_port")],
+     {0: ("a", "new")}, "node 1 has no provenance entry"),
+]
+
+
 class TestChangeGraphInvariants:
+    @pytest.mark.parametrize(
+        "nodes, edges, provenance, message", [row[1:] for row in INVALID_CHANGE_GRAPHS],
+        ids=[row[0] for row in INVALID_CHANGE_GRAPHS],
+    )
+    def test_invalid_change_graph_rejected(self, nodes, edges, provenance, message):
+        from opminer.graphcore import LabeledGraph
+
+        with pytest.raises(ModelError) as exc_info:
+            ChangeGraph.of(LabeledGraph.of(nodes, edges), provenance)
+        assert str(exc_info.value) == message
+
     def test_create_edge_touching_delete_node_rejected(self):
         from opminer.graphcore import LabeledGraph
 
@@ -226,6 +253,37 @@ class TestChangeGraphInvariants:
         )
         with pytest.raises(ModelError):
             ChangeGraph.of(g, {0: ("a", "old"), 1: ("b", "new")})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restrict_equals_checked_construction(self, seed):
+        """``restrict`` builds the SCGs and components of simulated histories,
+        forward and reversed (so deletions too), exactly as ``ChangeGraph.of``
+        does from the parent's provenance, and so do induced subgraphs."""
+        from opminer.simgen import SimConfig, default_catalogs, simulate
+
+        core, pert = default_catalogs(both_core_rules=True)
+        bundle = simulate(SimConfig(
+            d=3, e=4, p=0.5, seed=seed, core_rules=core, perturbations=pert,
+            initial_counts=SMALL_COUNTS,
+        ))
+        rng = random.Random(seed)
+        versions = bundle.versions
+        pairs = list(zip(versions, versions[1:])) + list(zip(versions[1:], versions))
+
+        def checked(parent, graph):
+            return ChangeGraph.of(graph, {n: parent.provenance_map[n] for n, _ in graph.nodes})
+
+        prefixes = set()
+        for old, new in pairs:
+            dg = difference_graph(old, new)
+            scg = simple_change_graph(dg)
+            assert scg == checked(dg, scg.graph)
+            components = change_components(scg)
+            assert components and all(comp == checked(scg, comp.graph) for comp in components)
+            induced = dg.graph.induced(n for n, _ in dg.graph.nodes if rng.random() < 0.5)
+            assert dg.restrict(induced) == checked(dg, induced)
+            prefixes |= {split_prefix(label)[0] for label in labels_of(scg)}
+        assert prefixes == {CREATE, DELETE, PRESERVED}
 
     def test_split_prefix(self):
         assert split_prefix("create_Port") == (CREATE, "Port")
