@@ -253,9 +253,12 @@ def cmd_mine(args) -> int:
     except (GraphError, MinerError, RankError, OSError) as exc:
         return _fail(str(exc))
     except MiningBudgetExceeded:
-        _write_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
-        if args.patterns_out:
-            _write_json(patterns_to_doc([], 0, True), args.patterns_out)
+        try:
+            _write_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
+            if args.patterns_out:
+                _write_json(patterns_to_doc([], 0, True), args.patterns_out)
+        except OSError as exc:
+            return _fail(str(exc))
         print("warning: calibration exceeded the time budget; nothing mined", file=sys.stderr)
         return BUDGET_EXCEEDED
 
@@ -271,9 +274,12 @@ def cmd_mine(args) -> int:
 
     kept = prune(patterns)
     ranked = rank(kept, args.by)
-    _write_json(ranked_to_doc(ranked, threshold, partial), args.out)
-    if args.patterns_out:
-        _write_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
+    try:
+        _write_json(ranked_to_doc(ranked, threshold, partial), args.out)
+        if args.patterns_out:
+            _write_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"patterns: {len(patterns)} mined, {len(kept)} after pruning")
     print(f"wall_ms: {wall_ms:.1f}")
     if partial:
@@ -287,12 +293,12 @@ def cmd_rank(args) -> int:
         doc = _read_json(args.input)
         patterns = doc_to_patterns(doc)
         ranked = rank(prune(patterns), args.by)
+        _write_json(
+            ranked_to_doc(ranked, doc.get("threshold", 0), doc.get("partial", False)),
+            args.out,
+        )
     except (GraphError, RankError, DocumentError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    _write_json(
-        ranked_to_doc(ranked, doc.get("threshold", 0), doc.get("partial", False)),
-        args.out,
-    )
     print(f"ranked: {len(ranked)} patterns by {args.by}")
     return OK
 
@@ -306,7 +312,10 @@ def cmd_rules(args) -> int:
     if not isinstance(entries, list):
         return _fail("input document holds neither an items nor a patterns list")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(str(exc))
     failures = 0
     for i, entry in enumerate(entries):
         rank_no = entry.get("rank", i + 1) if isinstance(entry, dict) else i + 1
@@ -341,9 +350,9 @@ def cmd_simulate(args) -> int:
             metamodel=metamodel, initial_counts=counts,
         )
         bundle = simulate(config)
+        save_bundle(bundle, args.out)
     except (SimError, ModelError, RuleError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    save_bundle(bundle, args.out)
     applications = sum(len(rev) for rev in bundle.logs)
     print(f"versions: {len(bundle.versions)}")
     print(f"applications: {applications} ({bundle.skipped_applications} skipped)")

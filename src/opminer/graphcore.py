@@ -1,18 +1,19 @@
 """Labeled directed graphs and the operations every other stage builds on.
 
 A graph is a set of (id, label) nodes plus directed (src, dst, label) edges.
-The module provides weak connected components, a connectivity test, a
-canonical form for connected graphs (minimal DFS code over all depth-first
-enumerations, with an explicit direction flag per code entry), label- and
-direction-preserving subgraph embedding search, and the line-based
-transaction file format shared by the mining pipeline.
+The module provides weak connected components, a connectivity test, the
+gSpan extension step of a DFS code (rightmost-path growth with its pruning
+rules), a canonical form for connected graphs (the minimal DFS code, with an
+explicit direction flag per code entry, grown greedily by that same step),
+label- and direction-preserving subgraph embedding search, and the
+line-based transaction file format shared by the mining pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -206,35 +207,83 @@ class CanonicalCode:
         return ";".join(parts)
 
 
-def _alive(
-    g: LabeledGraph,
-    order: tuple[int, ...],
-    covered: frozenset[tuple[int, int, str]],
-    rmpath: Sequence[int],
-) -> bool:
-    """Whether a partial DFS enumeration can still cover every remaining edge.
+def rightmost_path(rmpath: tuple[int, ...], entry: CodeEntry) -> tuple[int, ...]:
+    """The rightmost path of a code once ``entry`` is appended to it."""
+    i, j = entry[0], entry[1]
+    return rmpath if j < i else rmpath[: rmpath.index(i) + 1] + (j,)
 
-    An uncovered edge is only reachable later if (a) both endpoints are
-    undiscovered, (b) its single discovered endpoint lies on the rightmost
-    path, or (c) both are discovered but one is the rightmost vertex and the
-    other is on the rightmost path (an emittable backward edge).
+
+Embedding = tuple[int, ...]  # host node per discovery index
+Incidence = Mapping[int, Sequence[tuple[int, int, str, str]]]
+
+
+def rightmost_extensions(
+    root_label: str,
+    entries: tuple[CodeEntry, ...],
+    rmpath: tuple[int, ...],
+    *,
+    backward: bool = True,
+    forward: bool = True,
+) -> Callable[[Incidence, Iterable[Embedding]], dict[CodeEntry, list[Embedding]]]:
+    """One gSpan extension step (Yan & Han 2002) of the DFS code ``entries``.
+
+    The code's pattern numbers its nodes by discovery index, and ``rmpath``
+    runs from the root 0 to the rightmost vertex r. The step returns
+    ``extend(incident, embeddings)``: for one host graph, given by its
+    ``incident`` map, it maps each entry that appends one host edge to the
+    embeddings grown by it. Entries are backward edges from r to the path
+    (when ``backward``) and forward edges from any path vertex to an unmapped
+    node (when ``forward``), less three rules that drop entries whose code
+    cannot be minimal, each because the grown graph has a DFS enumeration
+    with a smaller code:
+
+    1. a forward edge to a label below the root label: the minimal code
+       starts at that smaller label;
+    2. a forward edge from a path vertex i other than r whose (direction
+       flag, edge label, target label) is below that of the entry that
+       discovered i's successor on the path: the new node is a leaf, so
+       visiting it from i before that successor gives the same prefix and
+       then a smaller entry;
+    3. a backward edge r-j whose key as a forward edge from j, (1 - direction
+       flag, edge label, label of r), is below that of the entry that
+       discovered j's successor: walking the cycle j ... r the other way
+       round gives the same prefix and then a smaller entry.
     """
-    mapped = set(order)
-    onpath = {order[idx] for idx in rmpath}
-    vr = order[rmpath[-1]]
-    for edge in g.edges:
-        if edge in covered:
-            continue
-        a, b, _ = edge
-        a_in, b_in = a in mapped, b in mapped
-        if not a_in and not b_in:
-            continue
-        if a_in and b_in:
-            if not ((a == vr and b in onpath) or (b == vr and a in onpath)):
-                return False
-        elif (a if a_in else b) not in onpath:
-            return False
-    return True
+    labels = [root_label] + [e[5] for e in entries if e[1] > e[0]]
+    held = {(i, j, el) if dflag == 0 else (j, i, el) for i, j, dflag, _, el, _ in entries}
+    discovered = {e[1]: (e[2], e[4], e[5]) for e in entries if e[1] > e[0]}
+    # per path vertex but r: the key of the entry that discovered its successor
+    floor = {i: discovered[k] for i, k in zip(rmpath, rmpath[1:])}
+    inner = [(i, labels[i], floor[i]) for i in rmpath[:-1]] if forward else []
+    n, r = len(labels), rmpath[-1]
+    r_label = labels[r]
+
+    def extend(incident: Incidence, embeddings: Iterable[Embedding]):
+        table: dict[CodeEntry, list[Embedding]] = {}
+        for emb in embeddings:
+            mapped = set(emb)
+            for w, dflag, el, w_label in incident[emb[r]]:
+                if w not in mapped:
+                    if forward and w_label >= root_label:  # rule 1
+                        entry = (r, n, dflag, r_label, el, w_label)
+                        table.setdefault(entry, []).append(emb + (w,))
+                elif backward:
+                    j = emb.index(w)
+                    if j not in floor or (1 - dflag, el, r_label) < floor[j]:
+                        continue  # off the path, or rule 3
+                    if ((r, j, el) if dflag == 0 else (j, r, el)) in held:
+                        continue  # an edge the pattern already holds
+                    entry = (r, j, dflag, r_label, el, labels[j])
+                    table.setdefault(entry, []).append(emb)
+            for i, i_label, lo in inner:
+                for w, dflag, el, w_label in incident[emb[i]]:
+                    if w in mapped or w_label < root_label or (dflag, el, w_label) < lo:
+                        continue  # on the pattern, or rule 1 or 2
+                    entry = (i, n, dflag, i_label, el, w_label)
+                    table.setdefault(entry, []).append(emb + (w,))
+        return table
+
+    return extend
 
 
 @lru_cache(maxsize=32768)
@@ -244,72 +293,38 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     Deterministic and invariant under node-id renaming. Raises GraphError
     for empty or disconnected input.
 
-    The minimum is found greedily: all projections (partial embeddings of the
-    evolving code into g) are kept, the smallest viable extension entry is
-    appended at each step, and projections whose remaining edges can no
-    longer be emitted are dropped. Materialized edge-cover sets are only
-    built for the entry actually chosen.
+    The code grows greedily, as gSpan grows it. Embeddings start at every
+    node with the smallest label; each step appends the smallest entry of
+    ``rightmost_extensions`` by ``_entry_key`` and keeps that entry's
+    embeddings, and the code is complete when no entry is left. Two facts
+    make this exact without a dead-end check:
+
+    - backward entries sort before forward ones, and deeper forward sources
+      before shallower ones, so an embedding that has the smallest entry
+      never strands an uncovered edge: none is left at the rightmost vertex
+      or at a path vertex that the entry takes off the rightmost path;
+    - the rules of ``rightmost_extensions`` remove only entries that cannot
+      extend a minimal prefix.
+
+    So the kept embeddings end with every edge covered, and each step's
+    smallest entry is the next entry of the minimal code.
     """
     if g.n_nodes == 0:
         raise GraphError("canonical code of the empty graph is undefined")
     if not is_connected(g):
         raise GraphError("canonical_code requires a connected graph")
-    labels = g.label_map
-    root_label = min(labels.values())
-    if g.n_edges == 0:
-        return CanonicalCode(root_label, ())
-
-    incident = g.incident
-    entries: list[CodeEntry] = []
-    rmpath: list[int] = [0]
-    projections: set[tuple[tuple[int, ...], frozenset]] = {
-        ((v,), frozenset()) for v, l in g.nodes if l == root_label
-    }
-
-    while len(entries) < g.n_edges:
-        r = rmpath[-1]
-        nidx = len(next(iter(projections))[0])  # next discovery index
-        # entry -> lazy materializations (order, covered-before, new triple)
-        candidates: dict[CodeEntry, list[tuple]] = {}
-        for order, covered in projections:
-            vr = order[r]
-            mapped = set(order)
-            for jdx in rmpath[:-1]:
-                u = order[jdx]
-                for w, dflag, el, _ in incident[vr]:
-                    if w != u:
-                        continue
-                    triple = (vr, w, el) if dflag == 0 else (w, vr, el)
-                    if triple in covered:
-                        continue
-                    entry = (r, jdx, dflag, labels[vr], el, labels[u])
-                    candidates.setdefault(entry, []).append((order, covered, triple))
-            for idx in rmpath:
-                x = order[idx]
-                for w, dflag, el, wl in incident[x]:
-                    if w in mapped:
-                        continue
-                    triple = (x, w, el) if dflag == 0 else (w, x, el)
-                    entry = (idx, nidx, dflag, labels[x], el, wl)
-                    candidates.setdefault(entry, []).append((order + (w,), covered, triple))
-
-        for entry in sorted(candidates, key=_entry_key):
-            i, j, _, _, _, _ = entry
-            new_rmpath = rmpath if j < i else rmpath[: rmpath.index(i) + 1] + [j]
-            alive = set()
-            for order, covered, triple in candidates[entry]:
-                mat = (order, covered | {triple})
-                if mat not in alive and _alive(g, mat[0], mat[1], new_rmpath):
-                    alive.add(mat)
-            if alive:
-                entries.append(entry)
-                rmpath = new_rmpath
-                projections = alive
-                break
-        else:  # unreachable for connected input: some projection is always alive
-            raise GraphError("no viable DFS extension; graph invariants violated")
-
-    return CanonicalCode(root_label, tuple(entries))
+    root_label = min(label for _, label in g.nodes)
+    entries: tuple[CodeEntry, ...] = ()
+    rmpath: tuple[int, ...] = (0,)
+    embeddings = [(v,) for v, label in g.nodes if label == root_label]
+    while True:
+        table = rightmost_extensions(root_label, entries, rmpath)(g.incident, embeddings)
+        if not table:
+            return CanonicalCode(root_label, entries)
+        entry = min(table, key=_entry_key)
+        entries += (entry,)
+        rmpath = rightmost_path(rmpath, entry)
+        embeddings = table[entry]
 
 
 # --- subgraph embedding ---------------------------------------------------
@@ -403,8 +418,8 @@ def dumps_transactions(graphs: Sequence[LabeledGraph]) -> str:
                 raise GraphError(f"label {label!r} not representable (whitespace/empty)")
             lines.append(f"v {nid} {label}")
         for src, dst, label in g.edges:
-            if any(c.isspace() for c in label):
-                raise GraphError(f"label {label!r} not representable (whitespace)")
+            if not label or any(c.isspace() for c in label):
+                raise GraphError(f"label {label!r} not representable (whitespace/empty)")
             lines.append(f"e {src} {dst} {label}")
     return "\n".join(lines) + ("\n" if lines else "")
 

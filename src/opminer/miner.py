@@ -2,11 +2,12 @@
 
 Patterns grow depth-first in the style of gSpan: a pattern is its DFS code
 (``graphcore.canonical_code``), children append one edge on the rightmost
-path, and a child is kept only when its code is minimal, so every isomorphism
-class is grown once. Support counts distinct transactions, never embeddings.
-The result is exactly the set of connected subgraphs (up to isomorphism)
-contained in at least ``threshold`` transactions, linked into a subgraph
-lattice.
+path by the extension step that code is grown with
+(``graphcore.rightmost_extensions``), and a child is kept only when its code
+is minimal, so every isomorphism class is grown once. Support counts
+distinct transactions, never embeddings. The result is exactly the set of
+connected subgraphs (up to isomorphism) contained in at least ``threshold``
+transactions, linked into a subgraph lattice.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .graphcore import (
     LabeledGraph,
     canonical_code,
     is_connected,
+    rightmost_extensions,
+    rightmost_path,
 )
 
 
@@ -119,73 +122,25 @@ def _children(
     """Minimal-code one-edge extensions of ``node`` with support >= threshold.
 
     A pattern's graph numbers nodes by discovery index. Projections map each
-    discovery index to a transaction node, grouped per transaction. Children
-    extend the rightmost path only: backward edges from the rightmost vertex
-    r to the path (none when ``trees_only``) and forward edges from any path
-    vertex (none once ``max_nodes`` nodes are reached).
-
-    Before projections are collected, three rules of gSpan (Yan & Han 2002)
-    drop extensions whose code cannot be minimal, each because the child has
-    a DFS enumeration with a smaller code:
-
-    1. a forward edge to a label below the root label: the child's minimal
-       code starts at that smaller label;
-    2. a forward edge from a path vertex i other than r whose (direction
-       flag, edge label, target label) is below that of the entry that
-       discovered i's successor on the path: the new node is a leaf, so
-       visiting it from i before that successor gives the same prefix and
-       then a smaller entry;
-    3. a backward edge r-j whose key as a forward edge from j, (1 - direction
-       flag, edge label, label of r), is below that of the entry that
-       discovered j's successor: walking the cycle j ... r the other way
-       round gives the same prefix and then a smaller entry.
-
-    The rules only drop codes that are not minimal, so a frequent child is kept
-    only when its code is ``canonical_code`` of its graph: each isomorphism
-    class is reached exactly once, by its canonical code.
+    discovery index to a transaction node, grouped per transaction, and grow
+    by ``graphcore.rightmost_extensions``, with no backward edges when
+    ``trees_only`` and no forward edges once ``max_nodes`` nodes are reached.
+    Its rules only drop codes that are not minimal, so a frequent child is
+    kept only when its code is ``canonical_code`` of its graph: each
+    isomorphism class is reached exactly once, by its canonical code.
     """
     graph, code, rmpath, projections = node
-    labels = graph.label_map
-    n = graph.n_nodes
-    r = rmpath[-1]
-    root, r_label = code.root_label, labels[r]
-    discovered = {e[1]: (e[2], e[4], e[5]) for e in code.entries if e[1] > e[0]}
-    # per path vertex but r: the key of the entry that discovered its successor
-    floor = {i: discovered[k] for i, k in zip(rmpath, rmpath[1:])}
-    inner = [(i, labels[i], floor[i]) for i in rmpath[:-1]]
     backward = not trees_only
-    forward = max_nodes is None or n < max_nodes
+    forward = max_nodes is None or graph.n_nodes < max_nodes
     if not (backward or forward):
         return []
+    extend = rightmost_extensions(
+        code.root_label, code.entries, rmpath, backward=backward, forward=forward
+    )
     ext: dict[CodeEntry, dict[int, list[tuple[int, ...]]]] = {}
     for tid, embs in projections.items():
         check_budget()
-        incident = db.transactions[tid].incident
-        table: dict[CodeEntry, list[tuple[int, ...]]] = {}  # this transaction's part
-        for emb in embs:
-            mapped = set(emb)
-            for w, dflag, el, w_label in incident[emb[r]]:
-                if w not in mapped:
-                    if forward and w_label >= root:  # rule 1
-                        entry = (r, n, dflag, r_label, el, w_label)
-                        table.setdefault(entry, []).append(emb + (w,))
-                elif backward:
-                    j = emb.index(w)
-                    if j not in floor or (1 - dflag, el, r_label) < floor[j]:
-                        continue  # off the path, or rule 3
-                    if ((r, j, el) if dflag == 0 else (j, r, el)) in graph.edge_set:
-                        continue  # an edge the pattern already holds
-                    entry = (r, j, dflag, r_label, el, labels[j])
-                    table.setdefault(entry, []).append(emb)
-            if not forward:
-                continue
-            for i, i_label, lo in inner:
-                for w, dflag, el, w_label in incident[emb[i]]:
-                    if w in mapped or w_label < root or (dflag, el, w_label) < lo:
-                        continue  # on the pattern, or rule 1 or 2
-                    entry = (i, n, dflag, i_label, el, w_label)
-                    table.setdefault(entry, []).append(emb + (w,))
-        for entry, found in table.items():
+        for entry, found in extend(db.transactions[tid].incident, embs).items():
             ext.setdefault(entry, {})[tid] = found
     children = []
     for entry, child_projections in ext.items():
@@ -195,11 +150,10 @@ def _children(
         nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
         edge = (i, j, el) if dflag == 0 else (j, i, el)
         child = LabeledGraph.of(nodes, graph.edges + (edge,))
-        child_code = CanonicalCode(root, code.entries + (entry,))
+        child_code = CanonicalCode(code.root_label, code.entries + (entry,))
         if canonical_code(child) != child_code:
             continue  # reached again, by its minimal code, from another parent
-        child_rmpath = rmpath if j < i else rmpath[: rmpath.index(i) + 1] + (j,)
-        children.append((child, child_code, child_rmpath, child_projections))
+        children.append((child, child_code, rightmost_path(rmpath, entry), child_projections))
     return children
 
 

@@ -201,3 +201,61 @@ def random_multi_digraph(rng, n_nodes):
             a, b = rng.sample(range(n_nodes), 2)
             edges.add((a, b, rng.choice("xy")))
     return LabeledGraph.of(nodes, edges)
+
+
+def _dfs_entry_key(entry) -> tuple:
+    """The documented order of code entries: backward before forward,
+    backward by target index, forward by deeper source index first, then
+    direction flag, edge label and target label."""
+    i, j, dflag, _, edge_label, to_label = entry
+    if j < i:
+        return (0, j, dflag, edge_label)
+    return (1, -i, dflag, edge_label, to_label)
+
+
+def minimal_code_oracle(g: LabeledGraph) -> tuple[str, tuple]:
+    """Minimal DFS code of a connected graph as (root label, entries).
+
+    Enumerates every complete sequence of rightmost-path extensions read off
+    the edge list, from every root, with no pruning rule and no greedy
+    choice, and takes the least by (root label, entry keys). An entry is
+    (i, j, dflag, from label, edge label, to label) over discovery indices;
+    dflag is 0 when the edge runs from index i to index j.
+    """
+    labels = g.label_map
+    best = None
+
+    def walk(order, covered, rmpath, code):
+        nonlocal best
+        if len(covered) == g.n_edges:
+            key = (labels[order[0]], [_dfs_entry_key(e) for e in code])
+            if best is None or key < best[0]:
+                best = (key, (labels[order[0]], tuple(code)))
+            return
+        index = {v: k for k, v in enumerate(order)}
+        r = rmpath[-1]
+        for edge in g.edges:
+            if edge in covered:
+                continue
+            s, d, edge_label = edge
+            a, b = index.get(s), index.get(d)
+            if a is not None and b is not None:
+                if r not in (a, b):
+                    continue
+                j = b if a == r else a
+                if j not in rmpath:
+                    continue
+                entry = (r, j, 0 if a == r else 1, labels[order[r]], edge_label, labels[order[j]])
+                walk(order, covered | {edge}, rmpath, code + [entry])
+            elif a is not None or b is not None:
+                i, w, dflag = (a, d, 0) if b is None else (b, s, 1)
+                if i not in rmpath:
+                    continue
+                n = len(order)
+                entry = (i, n, dflag, labels[order[i]], edge_label, labels[w])
+                path = rmpath[: rmpath.index(i) + 1] + [n]
+                walk(order + [w], covered | {edge}, path, code + [entry])
+
+    for root, _ in g.nodes:
+        walk([root], frozenset(), [0], [])
+    return best[1]

@@ -122,7 +122,9 @@ class TestMine:
 SRC_DIR = Path(opminer.__file__).resolve().parents[1]
 
 # (case, input file text or "scg" for the fig-pair database or None for a
-# missing file, environment, extra arguments, documented exit code)
+# missing file, environment, extra arguments, documented exit code); in the
+# extra arguments "{absent}" names an absent directory, and a second --out
+# replaces the default one
 MINE_EXIT_CODES = [
     ("ok", "scg", {}, ["--threshold", "3"], 0),
     ("missing input", None, {}, [], 2),
@@ -133,6 +135,11 @@ MINE_EXIT_CODES = [
     ("budget out while mining", "scg", {"OPMINER_TIME_BUDGET_S": "0"},
      ["--threshold", "3"], 3),
     ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),
+    ("output directory missing", "scg", {}, ["--threshold", "3", "--out", "{absent}/r.json"], 2),
+    ("patterns output directory missing", "scg", {},
+     ["--threshold", "3", "--patterns-out", "{absent}/p.json"], 2),
+    ("output directory missing, budget out while calibrating", "scg",
+     {"OPMINER_TIME_BUDGET_S": "0"}, ["--out", "{absent}/r.json"], 2),
 ]
 
 
@@ -149,6 +156,7 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
     out = tmp_path / "ranked.json"
     run_env = {k: v for k, v in os.environ.items() if k != "OPMINER_TIME_BUDGET_S"}
     run_env.update(env, PYTHONPATH=str(SRC_DIR))
+    extra = [arg.format(absent=tmp_path / "absent") for arg in extra]
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", "mine", str(source), "--out", str(out), *extra],
         env=run_env, capture_output=True, text=True, timeout=120,
@@ -157,39 +165,46 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
     assert "Traceback" not in proc.stderr
     if expected in (0, 3):
         assert json.loads(out.read_text())["partial"] is (expected == 3)
+    else:
+        assert proc.stderr.startswith("error: ")
 
 
-# (case, --counts file text or None for a missing file, documented exit code)
+# (case, --counts file text or None for a missing file, --out under tmp_path,
+# where "file" is an existing file, documented exit code)
 SIMULATE_EXIT_CODES = [
-    ("ok", json.dumps(SMALL_COUNTS), 0),
-    ("missing counts file", None, 2),
-    ("malformed counts json", "{", 2),
-    ("counts not an object", "[1, 2]", 2),
-    ("string count", '{"Package": "abc"}', 2),
-    ("fractional count", '{"Package": 2.5}', 2),
-    ("boolean count", '{"Package": true}', 2),
-    ("negative count", '{"Package": -1}', 2),
-    ("unknown type", '{"Widget": 1}', 2),
+    ("ok", json.dumps(SMALL_COUNTS), "bundle", 0),
+    ("missing counts file", None, "bundle", 2),
+    ("malformed counts json", "{", "bundle", 2),
+    ("counts not an object", "[1, 2]", "bundle", 2),
+    ("string count", '{"Package": "abc"}', "bundle", 2),
+    ("fractional count", '{"Package": 2.5}', "bundle", 2),
+    ("boolean count", '{"Package": true}', "bundle", 2),
+    ("negative count", '{"Package": -1}', "bundle", 2),
+    ("unknown type", '{"Widget": 1}', "bundle", 2),
+    ("output is a file", json.dumps(SMALL_COUNTS), "file", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
+    "text, out, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
     ids=[row[0] for row in SIMULATE_EXIT_CODES],
 )
-def test_simulate_exit_codes(tmp_path, text, expected):
+def test_simulate_exit_codes(tmp_path, text, out, expected):
     counts = tmp_path / "counts.json"
     if text is not None:
         counts.write_text(text, encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
     run_env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", "simulate", "--d", "1", "--e", "1",
-         "--p", "0", "--seed", "1", "--counts", str(counts), "--out", str(tmp_path / "bundle")],
+         "--p", "0", "--seed", "1", "--counts", str(counts), "--out", str(tmp_path / out)],
         env=run_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert (tmp_path / "bundle" / "m1.json").exists() is (expected == 0)
+    assert (tmp_path / out / "m1.json").exists() is (expected == 0)
+    if expected == 2:
+        assert proc.stderr.startswith("error: ")
 
 
 def run_cli(args, tmp_path, doc):
@@ -216,32 +231,35 @@ def pattern_doc(**changes):
     return {"threshold": 2, "patterns": [big, {"support": 3, "graph": PORT, "parents": [0]}]}
 
 
-# (case, --in document, documented exit code)
+# (case, --in document, --out under tmp_path, documented exit code)
 RANK_EXIT_CODES = [
-    ("ok", pattern_doc(), 0),
-    ("missing input", None, 2),
-    ("malformed json", "{", 2),
-    ("top-level array", [pattern_doc()], 2),
-    ("no patterns", {"threshold": 2}, 2),
-    ("patterns not a list", {"patterns": {"0": pattern_doc()["patterns"][0]}}, 2),
-    ("pattern not an object", {"patterns": ["t # 0"]}, 2),
-    ("graph not text", pattern_doc(graph=7), 2),
-    ("two transactions in a graph", pattern_doc(graph=PORT + PORT.replace("0", "1", 1)), 2),
-    ("disconnected graph", pattern_doc(graph="t # 0\nv 0 a\nv 1 b\n"), 2),
-    ("string support", pattern_doc(support="2"), 2),
-    ("zero support", pattern_doc(support=0), 2),
-    ("parent index out of range", pattern_doc(parents=[2]), 2),
-    ("negative child index", pattern_doc(children=[-1]), 2),
-    ("non-integer child index", pattern_doc(children=[1.0]), 2),
-    ("children not a list", pattern_doc(children=1), 2),
+    ("ok", pattern_doc(), "ranked.json", 0),
+    ("missing input", None, "ranked.json", 2),
+    ("malformed json", "{", "ranked.json", 2),
+    ("top-level array", [pattern_doc()], "ranked.json", 2),
+    ("no patterns", {"threshold": 2}, "ranked.json", 2),
+    ("patterns not a list", {"patterns": {"0": pattern_doc()["patterns"][0]}}, "ranked.json", 2),
+    ("pattern not an object", {"patterns": ["t # 0"]}, "ranked.json", 2),
+    ("graph not text", pattern_doc(graph=7), "ranked.json", 2),
+    ("two transactions in a graph", pattern_doc(graph=PORT + PORT.replace("0", "1", 1)),
+     "ranked.json", 2),
+    ("disconnected graph", pattern_doc(graph="t # 0\nv 0 a\nv 1 b\n"), "ranked.json", 2),
+    ("string support", pattern_doc(support="2"), "ranked.json", 2),
+    ("zero support", pattern_doc(support=0), "ranked.json", 2),
+    ("parent index out of range", pattern_doc(parents=[2]), "ranked.json", 2),
+    ("negative child index", pattern_doc(children=[-1]), "ranked.json", 2),
+    ("non-integer child index", pattern_doc(children=[1.0]), "ranked.json", 2),
+    ("children not a list", pattern_doc(children=1), "ranked.json", 2),
+    ("output directory missing", pattern_doc(), "absent/ranked.json", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc, expected", [row[1:] for row in RANK_EXIT_CODES], ids=[row[0] for row in RANK_EXIT_CODES]
+    "doc, out, expected", [row[1:] for row in RANK_EXIT_CODES],
+    ids=[row[0] for row in RANK_EXIT_CODES],
 )
-def test_rank_exit_codes(tmp_path, doc, expected):
-    out = tmp_path / "ranked.json"
+def test_rank_exit_codes(tmp_path, doc, out, expected):
+    out = tmp_path / out
     proc = run_cli(["rank", "--out", str(out)], tmp_path, doc)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -253,30 +271,37 @@ def test_rank_exit_codes(tmp_path, doc, expected):
 
 GOOD_ITEM = {"rank": 2, "graph": PORT}
 
-# (case, --in document, documented exit code); exit 1 skips the bad entry
-# and still writes the rule of GOOD_ITEM
+# (case, --in document, --out under tmp_path, where "file" is an existing
+# file, documented exit code); exit 1 skips the bad entry and still writes the
+# rule of GOOD_ITEM
 RULES_EXIT_CODES = [
-    ("ok", {"items": [GOOD_ITEM]}, 0),
-    ("pattern document", pattern_doc(), 0),
-    ("missing input", None, 2),
-    ("malformed json", "{", 2),
-    ("top-level array", [GOOD_ITEM], 2),
-    ("neither items nor patterns", {"threshold": 2}, 2),
-    ("items not a list", {"items": GOOD_ITEM}, 2),
-    ("patterns not a list", {"patterns": "t # 0"}, 2),
-    ("entry not an object", {"items": ["t # 0", GOOD_ITEM]}, 1),
-    ("entry without a graph", {"items": [{"rank": 1}, GOOD_ITEM]}, 1),
-    ("two transactions in a graph", {"items": [{"rank": 1, "graph": PORT + PORT}, GOOD_ITEM]}, 1),
-    ("non-integer rank", {"items": [{"rank": "first", "graph": PORT}, GOOD_ITEM]}, 1),
-    ("unprefixed label", {"items": [{"rank": 1, "graph": "t # 0\nv 0 Port\n"}, GOOD_ITEM]}, 1),
+    ("ok", {"items": [GOOD_ITEM]}, "rules", 0),
+    ("pattern document", pattern_doc(), "rules", 0),
+    ("missing input", None, "rules", 2),
+    ("malformed json", "{", "rules", 2),
+    ("top-level array", [GOOD_ITEM], "rules", 2),
+    ("neither items nor patterns", {"threshold": 2}, "rules", 2),
+    ("items not a list", {"items": GOOD_ITEM}, "rules", 2),
+    ("patterns not a list", {"patterns": "t # 0"}, "rules", 2),
+    ("entry not an object", {"items": ["t # 0", GOOD_ITEM]}, "rules", 1),
+    ("entry without a graph", {"items": [{"rank": 1}, GOOD_ITEM]}, "rules", 1),
+    ("two transactions in a graph", {"items": [{"rank": 1, "graph": PORT + PORT}, GOOD_ITEM]},
+     "rules", 1),
+    ("non-integer rank", {"items": [{"rank": "first", "graph": PORT}, GOOD_ITEM]},
+     "rules", 1),
+    ("unprefixed label", {"items": [{"rank": 1, "graph": "t # 0\nv 0 Port\n"}, GOOD_ITEM]},
+     "rules", 1),
+    ("output is a file", {"items": [GOOD_ITEM]}, "file", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc, expected", [row[1:] for row in RULES_EXIT_CODES], ids=[row[0] for row in RULES_EXIT_CODES]
+    "doc, out, expected", [row[1:] for row in RULES_EXIT_CODES],
+    ids=[row[0] for row in RULES_EXIT_CODES],
 )
-def test_rules_exit_codes(tmp_path, doc, expected):
-    out_dir = tmp_path / "rules"
+def test_rules_exit_codes(tmp_path, doc, out, expected):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out_dir = tmp_path / out
     proc = run_cli(["rules", "--out", str(out_dir)], tmp_path, doc)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr

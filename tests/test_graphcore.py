@@ -20,6 +20,7 @@ from oracles import (
     components_oracle,
     embeddings_oracle,
     isomorphic_oracle,
+    minimal_code_oracle,
     random_connected_graph,
     random_labeled_graph,
     random_multi_digraph,
@@ -171,6 +172,26 @@ class TestCanonicalCode:
         b = random_connected_graph(rng, 4, n_labels=2, edge_labels=("x",))
         assert (canonical_code(a) == canonical_code(b)) == isomorphic_oracle(a, b)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_code_is_minimal_over_every_dfs_enumeration(self, seed):
+        # 60 graphs per seed, half random connected graphs, half multi-digraphs
+        # with parallel and antiparallel edges; at most 5 nodes and 8 edges
+        # keep the exhaustive enumeration small.
+        rng = random.Random(4200 + seed)
+        checked = 0
+        while checked < 60:
+            if checked % 2:
+                g = random_multi_digraph(rng, rng.randint(2, 5))
+            else:
+                g = random_connected_graph(
+                    rng, rng.randint(1, 5), rng.randint(1, 3), extra_edge_prob=0.3
+                )
+            if g.n_edges > 8:
+                continue
+            code = canonical_code(g)
+            assert (code.root_label, code.entries) == minimal_code_oracle(g), g
+            checked += 1
+
     def test_total_order_is_deterministic(self):
         a = canonical_code(g_of([(0, "A")]))
         b = canonical_code(g_of([(0, "A"), (1, "B")], [(0, 1, "x")]))
@@ -249,6 +270,17 @@ class TestTransactionFormat:
     def test_whitespace_labels_rejected_on_write(self):
         with pytest.raises(GraphError):
             dumps_transactions([g_of([(0, "a b")])])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [g_of([(0, "")]), g_of([(0, "A"), (1, "B")], [(0, 1, "")])],
+        ids=["node label", "edge label"],
+    )
+    def test_empty_labels_rejected_on_write(self, graph):
+        # an empty edge label would be written as "e 0 1 ", which the
+        # reader rejects for its missing field
+        with pytest.raises(GraphError, match="not representable"):
+            dumps_transactions([graph])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

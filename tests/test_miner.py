@@ -247,8 +247,11 @@ def named_rule(code, rmpath, entry):
 
 
 class TestGrowthRules:
-    """``_children`` drops exactly the extensions its three rules name, before
-    collecting their projections, and each of them has a non-minimal code."""
+    """``_children``, through ``graphcore.rightmost_extensions``, drops exactly
+    the extensions that step's three rules name, before collecting their
+    projections, and each of them has a non-minimal code. The same step grows
+    ``canonical_code``, whose minimality ``test_graphcore`` checks against an
+    exhaustive enumeration."""
 
     @pytest.mark.parametrize("trees_only", [False, True], ids=["graphs", "trees"])
     @pytest.mark.parametrize("seed", range(12))
