@@ -30,6 +30,7 @@ from .graphcore import (
     canonical_code,
     dumps_transactions,
     loads_transactions,
+    save_json,
 )
 from .miner import (
     CalibrationConfig,
@@ -164,12 +165,6 @@ def ranked_to_doc(ranked: RankedList, threshold: int, partial: bool) -> dict:
     }
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -245,7 +240,7 @@ def cmd_mine(args) -> int:
         miner_config = MinerConfig(time_budget_s=_time_budget(args))
         db = _load_db(args.inputs)
         if len(db) == 0:
-            _write_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
+            save_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
             print("threshold: n/a (empty input)")
             print("patterns: 0")
             return OK
@@ -254,9 +249,9 @@ def cmd_mine(args) -> int:
         return _fail(str(exc))
     except MiningBudgetExceeded:
         try:
-            _write_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
+            save_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
             if args.patterns_out:
-                _write_json(patterns_to_doc([], 0, True), args.patterns_out)
+                save_json(patterns_to_doc([], 0, True), args.patterns_out)
         except OSError as exc:
             return _fail(str(exc))
         print("warning: calibration exceeded the time budget; nothing mined", file=sys.stderr)
@@ -275,9 +270,9 @@ def cmd_mine(args) -> int:
     kept = prune(patterns)
     ranked = rank(kept, args.by)
     try:
-        _write_json(ranked_to_doc(ranked, threshold, partial), args.out)
+        save_json(ranked_to_doc(ranked, threshold, partial), args.out)
         if args.patterns_out:
-            _write_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
+            save_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
     except OSError as exc:
         return _fail(str(exc))
     print(f"patterns: {len(patterns)} mined, {len(kept)} after pruning")
@@ -293,7 +288,7 @@ def cmd_rank(args) -> int:
         doc = _read_json(args.input)
         patterns = doc_to_patterns(doc)
         ranked = rank(prune(patterns), args.by)
-        _write_json(
+        save_json(
             ranked_to_doc(ranked, doc.get("threshold", 0), doc.get("partial", False)),
             args.out,
         )
@@ -328,9 +323,12 @@ def cmd_rules(args) -> int:
             failures += 1
             print(f"warning: pattern at rank {rank_no} skipped: {exc}", file=sys.stderr)
             continue
-        save_rule(rule, out_dir / f"rule_{rank_no:04d}.json")
-        if args.dot:
-            (out_dir / f"rule_{rank_no:04d}.dot").write_text(to_dot(rule), encoding="utf-8")
+        try:
+            save_rule(rule, out_dir / f"rule_{rank_no:04d}.json")
+            if args.dot:
+                (out_dir / f"rule_{rank_no:04d}.dot").write_text(to_dot(rule), encoding="utf-8")
+        except OSError as exc:
+            return _fail(str(exc))
     print(f"rules: {len(entries) - failures} written, {failures} skipped")
     return PARTIAL if failures else OK
 
@@ -370,7 +368,7 @@ def cmd_eval(args) -> int:
         return _fail(str(exc))
     result = run_grid(spec)
     write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
-    _write_json(
+    save_json(
         {
             "map": result.map_table(),
             "errors": {str(k): v for k, v in sorted(result.errors.items())},

@@ -5,12 +5,14 @@ The module provides weak connected components, a connectivity test, the
 gSpan extension step of a DFS code (rightmost-path growth with its pruning
 rules), a canonical form for connected graphs (the minimal DFS code, with an
 explicit direction flag per code entry, grown greedily by that same step),
-label- and direction-preserving subgraph embedding search, and the
-line-based transaction file format shared by the mining pipeline.
+label- and direction-preserving subgraph embedding search, the
+line-based transaction file format shared by the mining pipeline, and
+``save_json``, the one writer of every JSON document the program saves.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -485,3 +487,75 @@ def save_transactions(graphs: Sequence[LabeledGraph], path) -> None:
 def load_transactions(path) -> list[LabeledGraph]:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_transactions(fh.read())
+
+
+# --- JSON documents ------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii
+_CHUNK = 2048  # encoded pieces held before they are written
+
+
+def save_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a newline, byte for byte.
+
+    With ``indent`` set, ``json.dump`` falls back to the stdlib's pure-Python
+    encoder and writes every token it yields on its own. This writer walks
+    the document once, encodes strings with the C ``encode_basestring_ascii``
+    (the stdlib default is ``ensure_ascii=True``) and every other scalar with
+    ``json.dumps``, and writes the pieces out whenever a list item leaves more
+    than ``_CHUNK`` of them, so a file of long lists is never held as one
+    string. It raises ``TypeError`` where ``json.dump`` does; a circular
+    document, which ``json.dump`` reports as ``ValueError``, ends in
+    ``RecursionError``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        parts: list[str] = []
+        _encode(doc, "\n", parts, fh)
+        parts.append("\n")
+        fh.write("".join(parts))
+
+
+def _encode(o, newline: str, parts: list[str], fh) -> None:
+    """Append the encoding of ``o``, whose lines after the first start with
+    ``newline``, to ``parts``; write and clear ``parts`` once it grows long."""
+    if isinstance(o, str):
+        parts.append(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            parts.append(sep)
+            _encode(item, inner, parts, fh)
+            sep = "," + inner
+            if len(parts) > _CHUNK:
+                fh.write("".join(parts))
+                parts.clear()
+        parts.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            key = _quote(key if isinstance(key, str) else _key(key))
+            if type(value) is str:
+                parts.append(f"{sep}{key}: {_quote(value)}")
+            else:
+                parts.append(f"{sep}{key}: ")
+                _encode(value, inner, parts, fh)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(o))
+
+
+def _key(key) -> str:
+    """A non-string dict key as ``json.dumps`` writes it, before quoting."""
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .graphcore import LabeledGraph, connected_components
+from .graphcore import LabeledGraph, connected_components, save_json
 
 PRESERVED = "preserved_"
 CREATE = "create_"
@@ -93,7 +93,14 @@ class MetaModel:
 
 @dataclass(frozen=True)
 class ModelVersion:
-    """One model snapshot: (uid, type) elements and (src, tgt, type) references."""
+    """One model snapshot: (uid, type) elements and (src, tgt, type) references.
+
+    ``of`` sorts both and checks that uids are unique and that every reference
+    joins two distinct declared elements and occurs once; ``from_json`` and
+    ``load_model`` build through ``of``. The constructor trusts its caller to
+    pass sorted tuples that pass those checks, as ``WorkingModel.snapshot``
+    does.
+    """
 
     elements: tuple[tuple[str, str], ...]
     references: tuple[tuple[str, str, str], ...]
@@ -106,9 +113,11 @@ class ModelVersion:
     ) -> "ModelVersion":
         if isinstance(elements, Mapping):
             elements = elements.items()
-        return cls(tuple(sorted(elements)), tuple(sorted(references)))
+        model = cls(tuple(sorted(elements)), tuple(sorted(references)))
+        model._validate()
+        return model
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         uids = [uid for uid, _ in self.elements]
         if len(uids) != len(set(uids)):
             raise ModelError("duplicate element uid")
@@ -184,8 +193,8 @@ class WorkingModel:
     to the uids at the other end; ``incident`` references per element; and,
     under a meta-model, the containment ``parent`` of each contained element.
     Each delta is checked only where it touches the model, for everything
-    ``ModelVersion`` and ``validate_against`` check on a whole model; the start
-    model is one delta on the empty model, so it is checked whole.
+    ``ModelVersion.of`` and ``validate_against`` check on a whole model; the
+    start model is one delta on the empty model, so it is checked whole.
     """
 
     def __init__(self, model: ModelVersion, metamodel: MetaModel | None = None) -> None:
@@ -321,17 +330,14 @@ class WorkingModel:
                 cur = parent_of(cur)
 
     def snapshot(self) -> ModelVersion:
-        """The current model as a validated ``ModelVersion``."""
-        model = ModelVersion.of(self.type_map.items(), self.references)
-        if self.metamodel is not None:
-            model.validate_against(self.metamodel)
-        return model
+        """The current model as a ``ModelVersion``. Trusted: every delta that
+        built it passed the checks of ``ModelVersion.of`` and, under the
+        meta-model, ``validate_against``, so they are not run again."""
+        return ModelVersion(tuple(sorted(self.type_map.items())), tuple(sorted(self.references)))
 
 
 def save_model(model: ModelVersion, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(model.to_json(), path)
 
 
 def load_model(path) -> ModelVersion:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .graphcore import LabeledGraph
+from .graphcore import LabeledGraph, save_json
 from .miner import Pattern
 from .modeldiff import (
     CREATE,
@@ -116,9 +116,7 @@ class EditRule:
 
 
 def save_rule(rule: EditRule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rule.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(rule.to_json(), path)
 
 
 def load_rule(path) -> EditRule:

@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
 
-from .graphcore import LabeledGraph, load_transactions, save_transactions
+from .graphcore import LabeledGraph, load_transactions, save_json, save_transactions
 from .modeldiff import (
     EdgeType,
     MetaModel,
@@ -484,22 +484,14 @@ def save_bundle(bundle: RepoBundle, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for i, version in enumerate(bundle.versions):
         save_model(version, out / f"m{i}.json")
-    with open(out / "log.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "skippedApplications": bundle.skipped_applications,
-                "revisions": [
-                    [entry.to_json() for entry in rev_log] for rev_log in bundle.logs
-                ],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(bundle.config.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(
+        {
+            "skippedApplications": bundle.skipped_applications,
+            "revisions": [[entry.to_json() for entry in rev_log] for rev_log in bundle.logs],
+        },
+        out / "log.json",
+    )
+    save_json(bundle.config.to_json(), out / "config.json")
     truth_dir = out / "truth"
     truth_dir.mkdir(exist_ok=True)
     for name in sorted(bundle.truth):

@@ -272,7 +272,8 @@ def test_rank_exit_codes(tmp_path, doc, out, expected):
 GOOD_ITEM = {"rank": 2, "graph": PORT}
 
 # (case, --in document, --out under tmp_path, where "file" is an existing
-# file, documented exit code); exit 1 skips the bad entry and still writes the
+# file and "blocked" a directory holding a directory named rule_0002.json,
+# documented exit code); exit 1 skips the bad entry and still writes the
 # rule of GOOD_ITEM
 RULES_EXIT_CODES = [
     ("ok", {"items": [GOOD_ITEM]}, "rules", 0),
@@ -292,6 +293,7 @@ RULES_EXIT_CODES = [
     ("unprefixed label", {"items": [{"rank": 1, "graph": "t # 0\nv 0 Port\n"}, GOOD_ITEM]},
      "rules", 1),
     ("output is a file", {"items": [GOOD_ITEM]}, "file", 2),
+    ("rule file is a directory", {"items": [GOOD_ITEM]}, "blocked", 2),
 ]
 
 
@@ -301,6 +303,7 @@ RULES_EXIT_CODES = [
 )
 def test_rules_exit_codes(tmp_path, doc, out, expected):
     (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "blocked" / "rule_0002.json").mkdir(parents=True)
     out_dir = tmp_path / out
     proc = run_cli(["rules", "--out", str(out_dir)], tmp_path, doc)
     assert proc.returncode == expected, proc.stderr
@@ -557,6 +560,53 @@ class TestSimulateEvalReport:
         assert code == 0
         assert "MAP@1" in capsys.readouterr().out
 
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """One small pass through every command that writes JSON."""
+    work = tmp_path_factory.mktemp("written")
+    counts = work / "counts.json"
+    counts.write_text(json.dumps(SMALL_COUNTS), encoding="utf-8")
+    bundle = work / "bundle"
+    assert main(["simulate", "--d", "2", "--e", "2", "--p", "0.5", "--seed", "4",
+                 "--counts", str(counts), "--out", str(bundle)]) == 0
+    scgs = []
+    for i in range(2):
+        scgs.append(str(work / f"scg{i}.txt"))
+        assert main(["diff", str(bundle / f"m{i}.json"), str(bundle / f"m{i + 1}.json"),
+                     "--out", scgs[-1]]) == 0
+    assert main(["mine", *scgs, "--threshold", "2", "--out", str(work / "ranked.json"),
+                 "--patterns-out", str(work / "patterns.json")]) == 0
+    assert main(["rules", "--in", str(work / "ranked.json"), "--out", str(work / "rules"),
+                 "--dot"]) == 0
+    grid_path = work / "grid.json"
+    grid_path.write_text(json.dumps(grid()), encoding="utf-8")
+    assert main(["eval", "--grid", str(grid_path), "--out", str(work / "eval")]) == 0
+    return work
+
+
+# (writer, the file it wrote under the ``written`` directory)
+JSON_WRITERS = [
+    ("model", "bundle/m1.json"),
+    ("rule", "rules/rule_0001.json"),
+    ("ranked list", "ranked.json"),
+    ("pattern document", "patterns.json"),
+    ("bundle log", "bundle/log.json"),
+    ("bundle config", "bundle/config.json"),
+    ("eval summary", "eval/summary.json"),
+]
+
+
+@pytest.mark.parametrize("name", [row[1] for row in JSON_WRITERS],
+                         ids=[row[0] for row in JSON_WRITERS])
+def test_json_files_are_stdlib_encoded(written, name):
+    """Every JSON file is the stdlib's indent-2, sorted-key encoding of the
+    document it holds, and a newline."""
+    data = (written / name).read_bytes()
+    doc = json.loads(data)
+    assert doc
+    assert data == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 class TestStageHandoffMatchesRunGrid:
     def test_chained_stages_reproduce_grid_cell(self, tmp_path):

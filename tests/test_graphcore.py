@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from opminer.graphcore import (
     is_connected,
     is_subgraph_isomorphic,
     loads_transactions,
+    save_json,
 )
 from oracles import (
     components_oracle,
@@ -291,6 +294,69 @@ class TestTransactionFormat:
             for _ in range(rng.randint(1, 4))
         ]
         assert loads_transactions(dumps_transactions(graphs)) == graphs
+
+
+def stdlib_json(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# strings with non-ASCII, control and lone surrogate characters
+JSON_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from("\x00\x1f\x7f\n\t\"\\/\u00e9\u2028\ud800\U0001f600"),
+))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), JSON_TEXT,
+    st.sampled_from([-0.0, 1e-7, math.nan, math.inf, -math.inf]),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+class TestSaveJson:
+    """``save_json`` writes exactly what the stdlib writes with ``indent=2``
+    and ``sort_keys=True``, plus a newline, and refuses what it refuses."""
+
+    @given(JSON_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_writes_what_json_dumps_writes(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        save_json(doc, path)
+        assert path.read_bytes() == stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a", 10: "b", 2: "c"}, {2.5: 1, -1.0: 2, math.inf: 3}, {True: 1, False: 2}, {None: 1},
+        {"a": [], "b": {}, "c": ()}, [[[]]], "", -0.0,
+    ])
+    def test_edge_documents(self, tmp_path, doc):
+        save_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_bytes() == stdlib_json(doc)
+
+    def test_documents_longer_than_one_chunk(self, tmp_path):
+        doc = {
+            "elements": [{"uid": f"u{i}", "type": "Port"} for i in range(3000)],
+            "nested": [[i, [str(i), None, i / 7]] for i in range(3000)],
+        }
+        save_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_bytes() == stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1}, object(), b"bytes", 1j, [1, {"a": {2}}], {(1, 2): "tuple key"},
+        {1: "int key", "a": "str key"},
+    ], ids=["set", "object", "bytes", "complex", "nested set", "tuple key", "mixed keys"])
+    def test_refuses_what_json_dump_refuses(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            save_json(doc, tmp_path / "doc.json")
 
 
 def mutate_once(rng, g):
