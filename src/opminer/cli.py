@@ -367,15 +367,16 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError, EvalError) as exc:
         return _fail(str(exc))
     result = run_grid(spec)
-    write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
-    save_json(
-        {
-            "map": result.map_table(),
-            "errors": {str(k): v for k, v in sorted(result.errors.items())},
-            "grid": spec.to_json(),
-        },
-        out_dir / "summary.json",
-    )
+    summary = {
+        "map": result.map_table(),
+        "errors": {str(k): v for k, v in sorted(result.errors.items())},
+        "grid": spec.to_json(),
+    }
+    try:
+        write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
+        save_json(summary, out_dir / "summary.json")
+    except OSError as exc:
+        return _fail(str(exc))
     print(format_map_tables(result.rows), end="")
     if result.errors:
         print(f"warning: {len(result.errors)} cells failed", file=sys.stderr)

@@ -7,7 +7,8 @@ rules), a canonical form for connected graphs (the minimal DFS code, with an
 explicit direction flag per code entry, grown greedily by that same step),
 label- and direction-preserving subgraph embedding search, the
 line-based transaction file format shared by the mining pipeline, and
-``save_json``, the one writer of every JSON document the program saves.
+``save_json``, the one writer of every JSON document the program saves
+except model files, which ``modeldiff.save_models`` writes.
 """
 
 from __future__ import annotations
@@ -497,7 +498,8 @@ _CHUNK = 2048  # encoded pieces held before they are written
 
 def save_json(doc, path) -> None:
     """Write ``doc`` to ``path`` as ``json.dumps(doc, indent=2, sort_keys=True)``
-    and a newline, byte for byte.
+    and a newline, byte for byte. Model files, the one exception, are written
+    in the same bytes by ``modeldiff.save_models``.
 
     With ``indent`` set, ``json.dump`` falls back to the stdlib's pure-Python
     encoder and writes every token it yields on its own. This writer walks

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .graphcore import LabeledGraph, connected_components, save_json
+from .graphcore import LabeledGraph, connected_components
 
 PRESERVED = "preserved_"
 CREATE = "create_"
@@ -95,8 +96,9 @@ class MetaModel:
 class ModelVersion:
     """One model snapshot: (uid, type) elements and (src, tgt, type) references.
 
-    ``of`` sorts both and checks that uids are unique and that every reference
-    joins two distinct declared elements and occurs once; ``from_json`` and
+    ``of`` checks that every uid, type and reference end is a string, that
+    uids are unique and that every reference joins two distinct declared
+    elements and occurs once, then sorts both; ``from_json`` and
     ``load_model`` build through ``of``. The constructor trusts its caller to
     pass sorted tuples that pass those checks, as ``WorkingModel.snapshot``
     does.
@@ -113,24 +115,35 @@ class ModelVersion:
     ) -> "ModelVersion":
         if isinstance(elements, Mapping):
             elements = elements.items()
-        model = cls(tuple(sorted(elements)), tuple(sorted(references)))
-        model._validate()
-        return model
+        elements, references = tuple(elements), tuple(references)
+        cls._validate(elements, references)
+        return cls(tuple(sorted(elements)), tuple(sorted(references)))
 
-    def _validate(self) -> None:
-        uids = [uid for uid, _ in self.elements]
-        if len(uids) != len(set(uids)):
+    @staticmethod
+    def _validate(
+        elements: tuple[tuple[str, str], ...], references: tuple[tuple[str, str, str], ...]
+    ) -> None:
+        declared = set()
+        for uid, typ in elements:
+            if not (isinstance(uid, str) and isinstance(typ, str)):
+                raise ModelError(f"element ({uid!r}, {typ!r}): uid and type must be strings")
+            declared.add(uid)
+        if len(declared) != len(elements):
             raise ModelError("duplicate element uid")
-        declared = set(uids)
-        seen = set()
-        for src, tgt, etype in self.references:
-            if src not in declared or tgt not in declared:
-                raise ModelError(f"reference ({src},{tgt},{etype}) touches unknown element")
-            if src == tgt:
-                raise ModelError(f"self-reference on {src} is not supported")
-            if (src, tgt, etype) in seen:
-                raise ModelError(f"duplicate reference ({src},{tgt},{etype})")
-            seen.add((src, tgt, etype))
+        try:
+            for src, tgt, etype in references:
+                # Every declared uid is a string, so a declared end is one too.
+                if src not in declared or tgt not in declared:
+                    raise ModelError(f"reference ({src},{tgt},{etype}) touches unknown element")
+                if not isinstance(etype, str):
+                    raise ModelError(f"reference ({src},{tgt},{etype!r}): type must be a string")
+                if src == tgt:
+                    raise ModelError(f"self-reference on {src} is not supported")
+        except TypeError as exc:  # an unhashable end, or no triple at all
+            raise ModelError(f"a reference must be a triple of strings: {exc}") from exc
+        if len(set(references)) != len(references):
+            src, tgt, etype = next(r for r, n in Counter(references).items() if n > 1)
+            raise ModelError(f"duplicate reference ({src},{tgt},{etype})")
 
     @cached_property
     def type_map(self) -> dict[str, str]:
@@ -336,8 +349,63 @@ class WorkingModel:
         return ModelVersion(tuple(sorted(self.type_map.items())), tuple(sorted(self.references)))
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+class _Lines(dict):
+    """The encoded text of each element or reference seen, made on first lookup
+    from a line template whose keys are in sorted order."""
+
+    def __init__(self, encode) -> None:
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, item):
+        line = self[item] = self.encode(*map(_quote, item))
+        return line
+
+
+def _element_line(uid: str, typ: str) -> str:
+    return f'    {{\n      "type": {typ},\n      "uid": {uid}\n    }}'
+
+
+def _reference_line(src: str, tgt: str, typ: str) -> str:
+    return f'    {{\n      "src": {src},\n      "tgt": {tgt},\n      "type": {typ}\n    }}'
+
+
+def _block(key: str, items: tuple, lines: _Lines) -> str:
+    if not items:
+        return f'  "{key}": []'
+    return f'  "{key}": [\n' + ",\n".join(map(lines.__getitem__, items)) + "\n  ]"
+
+
+def save_models(files: Iterable[tuple[ModelVersion, object]]) -> None:
+    """Write each ``(model, path)`` of ``files`` as ``json.dumps(model.to_json(),
+    indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    Every file is two blocks of lines from two fixed templates, so this
+    writer, not ``graphcore.save_json``, owns the model layout. Every field
+    of a model is a string (``ModelVersion.of`` checks it), so each is quoted
+    with the C ``encode_basestring_ascii``, as ``json.dumps`` quotes it under
+    its default ``ensure_ascii=True``. Each element or reference is encoded
+    once per call: successive versions of one history share most of them.
+    The encoded lines live only as long as the call.
+    """
+    elements, references = _Lines(_element_line), _Lines(_reference_line)
+    for model, path in files:
+        text = (
+            "{\n"
+            + _block("elements", model.elements, elements)
+            + ",\n"
+            + _block("references", model.references, references)
+            + "\n}\n"
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def save_model(model: ModelVersion, path) -> None:
-    save_json(model.to_json(), path)
+    save_models([(model, path)])
 
 
 def load_model(path) -> ModelVersion:

@@ -26,7 +26,7 @@ from .modeldiff import (
     ModelVersion,
     WorkingModel,
     load_model,
-    save_model,
+    save_models,
 )
 from .rulegen import (
     ApplicationRecord,
@@ -482,8 +482,7 @@ def save_bundle(bundle: RepoBundle, out_dir) -> None:
     """Bundle layout: m0.json..m<d>.json, log.json, config.json, truth/."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, version in enumerate(bundle.versions):
-        save_model(version, out / f"m{i}.json")
+    save_models((version, out / f"m{i}.json") for i, version in enumerate(bundle.versions))
     save_json(
         {
             "skippedApplications": bundle.skipped_applications,

@@ -325,7 +325,9 @@ def run_opminer(*args):
 
 # (case, old, new, --out, --metamodel or None, documented exit code); "old",
 # "new" and "mm" name the fig_files, "bad" a malformed JSON file, "missing" an
-# absent file, "nodir" a path in an absent directory and "dir" a directory
+# absent file, "nodir" a path in an absent directory, "dir" a directory,
+# "int-type" a model with an integer element type and "int-uids" a model whose
+# uids are integers
 DIFF_EXIT_CODES = [
     ("ok", "old", "new", "scg.txt", "mm", 0),
     ("missing old model", "missing", "new", "scg.txt", None, 2),
@@ -334,6 +336,8 @@ DIFF_EXIT_CODES = [
     ("model does not conform", "old", "new", "scg.txt", "empty-mm", 2),
     ("output directory missing", "old", "new", "nodir", None, 2),
     ("output is a directory", "old", "new", "dir", None, 2),
+    ("element type not a string", "old", "int-type", "scg.txt", None, 2),
+    ("integer uids", "int-uids", "int-uids", "scg.txt", None, 2),
 ]
 
 
@@ -348,6 +352,13 @@ def test_diff_exit_codes(tmp_path, fig_files, old, new, out, mm, expected):
         json.dumps({"nodeTypes": [], "edgeTypes": []}), encoding="utf-8"
     )
     (tmp_path / "dir").mkdir()
+    (tmp_path / "int-type").write_text(
+        json.dumps({"elements": [{"uid": "a", "type": 5}], "references": []}), encoding="utf-8"
+    )
+    (tmp_path / "int-uids").write_text(json.dumps({
+        "elements": [{"uid": 1, "type": "A"}, {"uid": 2, "type": "A"}],
+        "references": [{"src": 1, "tgt": 2, "type": "r"}],
+    }), encoding="utf-8")
     paths = {
         "old": old_path, "new": new_path, "mm": mm_path,
         "nodir": tmp_path / "absent" / "scg.txt",
@@ -417,6 +428,18 @@ def test_eval_exit_codes(tmp_path, doc, expected):
         assert "MAP@1" in proc.stdout and (out / "summary.json").exists()
     else:
         assert proc.stderr.startswith("error: ") and not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["summary.json", "report.csv"])
+def test_eval_write_failure_exit_code(tmp_path, blocked):
+    source = tmp_path / "grid.json"
+    source.write_text(json.dumps(grid()), encoding="utf-8")
+    out = tmp_path / "evalout"
+    (out / blocked).mkdir(parents=True)
+    proc = run_opminer("eval", "--grid", source, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 REPORT_HEADER = (

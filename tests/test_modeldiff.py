@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opminer.graphcore import connected_components
@@ -18,6 +18,8 @@ from opminer.modeldiff import (
     change_counts,
     difference_graph,
     match,
+    save_model,
+    save_models,
     simple_change_graph,
     split_prefix,
 )
@@ -30,6 +32,7 @@ from fixtures import (
     working_view,
 )
 from oracles import components_oracle
+from test_graphcore import JSON_TEXT, stdlib_json
 
 
 def labels_of(cg: ChangeGraph):
@@ -63,6 +66,61 @@ class TestModelVersion:
     def test_json_round_trip(self):
         _, new = fig_pair()
         assert ModelVersion.from_json(new.to_json()) == new
+
+    @pytest.mark.parametrize("elements, references", [
+        ([("a", 5)], []),
+        ([(1, "T")], []),
+        ([("a", "T"), ("b", "T")], [("a", "b", 7)]),
+        ([("a", None)], []),
+        ([("a", "T"), ("b", "T")], [("a", ["b"], "r")]),
+    ])
+    def test_fields_must_be_strings(self, elements, references):
+        with pytest.raises(ModelError, match="must be"):
+            ModelVersion.of(elements, references)
+
+    def test_duplicate_reference_rejected(self):
+        with pytest.raises(ModelError, match=r"duplicate reference \(a,b,r\)"):
+            ModelVersion.of([("a", "T"), ("b", "T")], [("a", "b", "r"), ("a", "b", "r")])
+
+
+@st.composite
+def histories(draw):
+    """Versions that share elements and references: each keeps some of the
+    elements of one drawn model and some references among those."""
+    elements = draw(st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=6))
+    uids = sorted(elements)
+    ends = st.sampled_from(uids)
+    refs = draw(st.sets(st.tuples(ends, ends, JSON_TEXT), max_size=8)) if uids else set()
+    refs = [r for r in refs if r[0] != r[1]]
+    versions = []
+    for _ in range(draw(st.integers(1, 4))):
+        kept = {u: t for u, t in elements.items() if draw(st.booleans())}
+        versions.append(ModelVersion.of(
+            kept, [r for r in refs if r[0] in kept and r[1] in kept and draw(st.booleans())]
+        ))
+    return versions
+
+
+class TestSaveModels:
+    """The model writer writes exactly what the stdlib writes with
+    ``indent=2`` and ``sort_keys=True``, plus a newline, whether a version is
+    written alone or with others in one call."""
+
+    @given(histories())
+    @example([ModelVersion.of([]), ModelVersion.of([("a", "T")]), ModelVersion.of([])])
+    @example([  # parallel references: lines differ only in their type
+        ModelVersion.of({"a": "T", "b": "U"}, [("a", "b", "r"), ("a", "b", "s")]),
+        ModelVersion.of({"a": "T", "b": "U"}, [("a", "b", "s")]),
+    ])
+    @settings(max_examples=200, deadline=None)
+    def test_writes_what_json_dumps_writes(self, tmp_path_factory, versions):
+        out = tmp_path_factory.mktemp("models")
+        save_models((v, out / f"m{i}.json") for i, v in enumerate(versions))
+        for i, version in enumerate(versions):
+            expected = stdlib_json(version.to_json())
+            assert (out / f"m{i}.json").read_bytes() == expected
+            save_model(version, out / "alone.json")
+            assert (out / "alone.json").read_bytes() == expected
 
 
 class TestMatch:
