@@ -7,7 +7,9 @@ PARENT and CHANGE are checkouts of this repository. Each pair runs
 ``python3 perfbench/run.py --workload W --seed S --seconds <run_seconds>
 --trace 0`` once in each checkout, from its root, with the run length from
 ``BENCHMARK.json``; odd pairs run PARENT first, even pairs CHANGE first. The
-two checkouts must hold the same ``BENCHMARK.json``.
+two checkouts must hold the same ``BENCHMARK.json`` and the same files under
+``perfbench/`` (run outputs and caches aside): a gain measured against an
+edited benchmark does not count.
 
 For every end-to-end metric the script prints each side's median and
 quartiles, the share of pairs the change won (ties count for neither side,
@@ -39,6 +41,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+#: what running or testing the benchmark leaves under perfbench/
+RUN_OUTPUTS = {"__pycache__", ".pytest_cache", ".hypothesis"}
+
+
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """The contents of the files under ``checkout/perfbench``, by relative path,
+    less ``out/`` and the caches in ``RUN_OUTPUTS``."""
+    root = checkout / "perfbench"
+    files = {}
+    for path in root.rglob("*"):
+        parts = path.relative_to(root).parts
+        if path.is_file() and parts[0] != "out" and not RUN_OUTPUTS & set(parts):
+            files["/".join(parts)] = path.read_bytes()
+    return files
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -67,6 +85,11 @@ def main(argv=None) -> int:
             parser.error(f"cannot read {checkout / 'BENCHMARK.json'}: {exc}")
     if specs[0] != specs[1]:
         parser.error("the two checkouts hold different BENCHMARK.json files")
+    trees = [benchmark_files(checkout) for checkout in (args.parent, args.change)]
+    if trees[0] != trees[1]:
+        differ = [k for k in sorted(trees[0].keys() | trees[1].keys())
+                  if trees[0].get(k) != trees[1].get(k)]
+        parser.error(f"the two checkouts hold different perfbench/ trees: {', '.join(differ)}")
     spec = specs[0]
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"BENCHMARK.json lists no workload {args.workload!r}")

@@ -26,6 +26,7 @@ from .miner import (
 )
 from .modeldiff import (
     ChangeGraph,
+    DifferenceGraph,
     MetaModel,
     ModelError,
     ModelVersion,

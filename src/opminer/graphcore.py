@@ -30,6 +30,12 @@ class LabeledGraph:
     Node ids are opaque integers local to one graph. Parallel edges between
     the same ordered node pair are allowed when their labels differ;
     (src, dst, label) triples are unique. Self-loops are rejected.
+
+    ``of`` sorts nodes by id and edges by (src, dst, label) and checks all of
+    the above; every graph built from outside data (transaction files,
+    pattern and rule documents) goes through it. The constructor trusts its
+    caller to pass sorted tuples that pass those checks, as a subgraph or a
+    one-edge extension of a checked graph does.
     """
 
     nodes: tuple[tuple[int, str], ...]
@@ -43,12 +49,12 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         """Build a graph from any node/edge iterables, normalized and validated."""
         if isinstance(nodes, Mapping):
-            node_items = tuple(sorted(nodes.items()))
-        else:
-            node_items = tuple(sorted(nodes))
-        return cls(node_items, tuple(sorted(edges)))
+            nodes = nodes.items()
+        g = cls(tuple(sorted(nodes)), tuple(sorted(edges)))
+        g._validate()
+        return g
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         seen: dict[int, str] = {}
         for nid, label in self.nodes:
             if not isinstance(nid, int):
@@ -108,9 +114,9 @@ class LabeledGraph:
     def induced(self, node_ids: Iterable[int]) -> "LabeledGraph":
         """Subgraph on the given nodes with every edge among them."""
         keep = set(node_ids)
-        return LabeledGraph.of(
-            [(n, l) for n, l in self.nodes if n in keep],
-            [e for e in self.edges if e[0] in keep and e[1] in keep],
+        return LabeledGraph(
+            tuple(n for n in self.nodes if n[0] in keep),
+            tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
     def relabel_ids(self, mapping: Mapping[int, int]) -> "LabeledGraph":
@@ -125,25 +131,34 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     """Split into induced subgraphs on weak-connectivity classes.
 
     Edge direction is ignored for connectivity. Components are ordered by
-    their smallest node id; the empty graph yields an empty list.
+    their smallest node id; the empty graph yields an empty list. One walk
+    numbers every node's component, then the sorted nodes and edges are
+    dealt out to their components in order, so each stays sorted.
     """
-    unvisited = dict(g.nodes)
-    components = []
-    for start, _ in g.nodes:
-        if start not in unvisited:
+    neighbours: dict[int, list[int]] = {nid: [] for nid, _ in g.nodes}
+    for src, dst, _ in g.edges:
+        neighbours[src].append(dst)
+        neighbours[dst].append(src)
+    component: dict[int, int] = {}
+    count = 0
+    for start in neighbours:  # in node id order
+        if start in component:
             continue
+        component[start] = count
         stack = [start]
-        comp = []
-        del unvisited[start]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w, *_ in g.incident[v]:
-                if w in unvisited:
-                    del unvisited[w]
+            for w in neighbours[stack.pop()]:
+                if w not in component:
+                    component[w] = count
                     stack.append(w)
-        components.append(g.induced(comp))
-    return components
+        count += 1
+    nodes: list[list[tuple[int, str]]] = [[] for _ in range(count)]
+    edges: list[list[tuple[int, int, str]]] = [[] for _ in range(count)]
+    for node in g.nodes:
+        nodes[component[node[0]]].append(node)
+    for edge in g.edges:
+        edges[component[edge[0]]].append(edge)
+    return [LabeledGraph(tuple(n), tuple(e)) for n, e in zip(nodes, edges)]
 
 
 def is_connected(g: LabeledGraph, without: tuple[int, int, str] | None = None) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -105,7 +106,7 @@ def _seeds(db: TransactionDB, threshold: int) -> list[_Node]:
         for nid, label in txn.nodes:
             singles.setdefault(label, {}).setdefault(tid, []).append((nid,))
     return [
-        (LabeledGraph.of([(0, label)]), CanonicalCode(label, ()), (0,), singles[label])
+        (LabeledGraph(((0, label),), ()), CanonicalCode(label, ()), (0,), singles[label])
         for label in sorted(singles, reverse=True)
         if len(singles[label]) >= threshold
     ]
@@ -147,9 +148,11 @@ def _children(
         if len(child_projections) < threshold:
             continue
         i, j, dflag, _, el, to_label = entry
+        # sorted, so trusted: a new node j is the largest id, the edge goes in at its place
         nodes = graph.nodes if j < i else graph.nodes + ((j, to_label),)
         edge = (i, j, el) if dflag == 0 else (j, i, el)
-        child = LabeledGraph.of(nodes, graph.edges + (edge,))
+        at = bisect_left(graph.edges, edge)
+        child = LabeledGraph(nodes, graph.edges[:at] + (edge,) + graph.edges[at:])
         child_code = CanonicalCode(code.root_label, code.entries + (entry,))
         if canonical_code(child) != child_code:
             continue  # reached again, by its minimal code, from another parent

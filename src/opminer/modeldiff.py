@@ -1,10 +1,12 @@
 """Model versions, id-based matching, difference graphs and simple change graphs.
 
 Two successive versions of a typed model are matched on persistent element
-ids, merged into one difference graph whose labels carry preserved_/create_/
-delete_ prefixes, and reduced to the simple change graph (SCG): all changed
-elements plus the minimal preserved nodes needed to complete dangling changed
-edges. SCG connected components are the transactions the miner consumes.
+ids into one difference graph whose labels carry preserved_/create_/delete_
+prefixes, and reduced to the simple change graph (SCG): all changed elements
+plus the minimal preserved nodes needed to complete dangling changed edges.
+The SCG is built from the changed elements alone; the whole difference graph
+is built only when read. SCG connected components are the transactions the
+miner consumes.
 """
 
 from __future__ import annotations
@@ -80,16 +82,27 @@ class MetaModel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "MetaModel":
-        try:
-            return cls(
-                frozenset(doc["nodeTypes"]),
-                tuple(
-                    EdgeType(e["name"], e["src"], e["tgt"], bool(e.get("containment", False)))
-                    for e in doc["edgeTypes"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ModelError(f"invalid meta-model document: {exc}") from exc
+        """Parse a meta-model document. ModelError unless ``nodeTypes`` is a list
+        of strings and every edge type has string ``name``, ``src`` and
+        ``tgt`` and, if present, a JSON boolean ``containment``."""
+        doc = doc if isinstance(doc, Mapping) else {}
+        node_types, edge_docs = doc.get("nodeTypes"), doc.get("edgeTypes")
+        if not isinstance(node_types, list) or not all(isinstance(t, str) for t in node_types):
+            raise ModelError("invalid meta-model document: nodeTypes must be a list of strings")
+        if not isinstance(edge_docs, list):
+            raise ModelError("invalid meta-model document: edgeTypes must be a list")
+        edge_types = []
+        for e in edge_docs:
+            fields = [e.get(k) for k in ("name", "src", "tgt")] if isinstance(e, Mapping) else []
+            if len(fields) != 3 or not all(isinstance(f, str) for f in fields):
+                raise ModelError(f"invalid meta-model document: edge type {e!r} needs "
+                                 "string name, src and tgt")
+            containment = e.get("containment", False)
+            if type(containment) is not bool:
+                raise ModelError(f"invalid meta-model document: edge type {fields[0]!r}: "
+                                 f"containment must be true or false, not {containment!r}")
+            edge_types.append(EdgeType(*fields, containment))
+        return cls(frozenset(node_types), tuple(edge_types))
 
 
 @dataclass(frozen=True)
@@ -427,17 +440,7 @@ def match(old: ModelVersion, new: ModelVersion) -> Correspondence:
     References correspond iff their endpoints correspond and the type is
     equal. An element whose type changed is treated as deleted and re-created.
     """
-    elements = frozenset(
-        uid
-        for uid, typ in old.elements
-        if new.type_map.get(uid) == typ
-    )
-    references = frozenset(
-        ref
-        for ref in old.references
-        if ref in new.reference_set and ref[0] in elements and ref[1] in elements
-    )
-    return Correspondence(elements, references)
+    return difference_graph(old, new).correspondence
 
 
 @dataclass(frozen=True)
@@ -494,60 +497,150 @@ class ChangeGraph:
         return min((uid for _, (uid, _) in self.provenance), default="")
 
 
-def difference_graph(old: ModelVersion, new: ModelVersion) -> ChangeGraph:
+@dataclass(frozen=True)
+class DifferenceGraph:
+    """The unified difference graph of two versions, held as the versions and
+    what changed between them: the elements and references of each version
+    that correspond to none of the other. Their complement is the
+    correspondence, which ``match`` returns.
+
+    Node ids follow one rule: the preserved elements first, by sorted uid,
+    then the deleted elements in old order, then the created elements in new
+    order (model elements are sorted by uid, so both orders are uid order).
+    ``simple_change_graph`` numbers the nodes it takes by that rule without
+    building the rest. The correspondence, and ``graph`` and ``provenance``
+    (the whole graph, checked by ``ChangeGraph.of``), are built when first
+    read.
+    """
+
+    old: ModelVersion
+    new: ModelVersion
+    deleted: tuple[tuple[str, str], ...]  # in old order
+    created: tuple[tuple[str, str], ...]  # in new order
+    deleted_references: frozenset[tuple[str, str, str]]
+    created_references: frozenset[tuple[str, str, str]]
+
+    @cached_property
+    def correspondence(self) -> Correspondence:
+        gone = {uid for uid, _ in self.deleted}
+        return Correspondence(
+            frozenset(uid for uid, _ in self.old.elements if uid not in gone),
+            self.old.reference_set - self.deleted_references,
+        )
+
+    @cached_property
+    def change_graph(self) -> ChangeGraph:
+        old, new, corr = self.old, self.new, self.correspondence
+        nodes: list[tuple[int, str]] = []
+        provenance: dict[int, tuple[str, str]] = {}
+        old_ids: dict[str, int] = {}
+        new_ids: dict[str, int] = {}
+
+        def add(uid: str, typ: str, prefix: str, origin: str) -> int:
+            nid = len(nodes)
+            nodes.append((nid, prefix + typ))
+            provenance[nid] = (uid, origin)
+            return nid
+
+        for uid in sorted(corr.elements):
+            nid = add(uid, old.type_map[uid], PRESERVED, "both")
+            old_ids[uid] = new_ids[uid] = nid
+        for uid, typ in old.elements:
+            if uid not in corr.elements:
+                old_ids[uid] = add(uid, typ, DELETE, "old")
+        for uid, typ in new.elements:
+            if uid not in corr.elements:
+                new_ids[uid] = add(uid, typ, CREATE, "new")
+
+        edges: list[tuple[int, int, str]] = []
+        for src, tgt, etype in old.references:
+            prefix = PRESERVED if (src, tgt, etype) in corr.references else DELETE
+            edges.append((old_ids[src], old_ids[tgt], prefix + etype))
+        for src, tgt, etype in new.references:
+            if (src, tgt, etype) not in corr.references:
+                edges.append((new_ids[src], new_ids[tgt], CREATE + etype))
+        return ChangeGraph.of(LabeledGraph.of(nodes, edges), provenance)
+
+    @property
+    def graph(self) -> LabeledGraph:
+        return self.change_graph.graph
+
+    @property
+    def provenance(self) -> tuple[tuple[int, tuple[str, str]], ...]:
+        return self.change_graph.provenance
+
+    @property
+    def provenance_map(self) -> dict[int, tuple[str, str]]:
+        return self.change_graph.provenance_map
+
+    def restrict(self, graph: LabeledGraph) -> ChangeGraph:
+        return self.change_graph.restrict(graph)
+
+
+def difference_graph(old: ModelVersion, new: ModelVersion) -> DifferenceGraph:
     """Unified graph over both versions with preserved_/create_/delete_ labels.
 
     Corresponding elements appear once; every element of either version
-    appears exactly once. Node ids are assigned deterministically.
+    appears exactly once. Node ids follow the rule of ``DifferenceGraph``.
+    Only what changed is found here, by set differences of the two versions'
+    elements and references; a reference of both versions with a retyped end
+    is deleted and re-created with it.
     """
-    corr = match(old, new)
-    nodes: list[tuple[int, str]] = []
-    provenance: dict[int, tuple[str, str]] = {}
-    old_ids: dict[str, int] = {}
-    new_ids: dict[str, int] = {}
-
-    def add(uid: str, typ: str, prefix: str, origin: str) -> int:
-        nid = len(nodes)
-        nodes.append((nid, prefix + typ))
-        provenance[nid] = (uid, origin)
-        return nid
-
-    for uid in sorted(corr.elements):
-        nid = add(uid, old.type_map[uid], PRESERVED, "both")
-        old_ids[uid] = new_ids[uid] = nid
-    for uid, typ in old.elements:
-        if uid not in corr.elements:
-            old_ids[uid] = add(uid, typ, DELETE, "old")
-    for uid, typ in new.elements:
-        if uid not in corr.elements:
-            new_ids[uid] = add(uid, typ, CREATE, "new")
-
-    edges: list[tuple[int, int, str]] = []
-    for src, tgt, etype in old.references:
-        ref = (src, tgt, etype)
-        prefix = PRESERVED if ref in corr.references else DELETE
-        edges.append((old_ids[src], old_ids[tgt], prefix + etype))
-    for src, tgt, etype in new.references:
-        if (src, tgt, etype) not in corr.references:
-            edges.append((new_ids[src], new_ids[tgt], CREATE + etype))
-
-    return ChangeGraph.of(LabeledGraph.of(nodes, edges), provenance)
+    old_elements, new_elements = frozenset(old.elements), frozenset(new.elements)
+    deleted = tuple(sorted(old_elements - new_elements))
+    created = tuple(sorted(new_elements - old_elements))
+    deleted_references = old.reference_set - new.reference_set
+    created_references = new.reference_set - old.reference_set
+    retyped = {uid for uid, _ in deleted}.intersection(uid for uid, _ in created)
+    if retyped:
+        moved = frozenset(
+            ref for ref in old.reference_set & new.reference_set
+            if ref[0] in retyped or ref[1] in retyped
+        )
+        deleted_references |= moved
+        created_references |= moved
+    return DifferenceGraph(old, new, deleted, created, deleted_references, created_references)
 
 
-def simple_change_graph(dg: ChangeGraph) -> ChangeGraph:
+def simple_change_graph(dg: DifferenceGraph) -> ChangeGraph:
     """Boundary graph of the changed elements of a difference graph.
 
     Keeps all create_/delete_ nodes and edges, plus exactly the preserved
     nodes needed so no changed edge dangles. Preserved edges never appear.
+
+    Built from what changed alone: the deleted and created elements and
+    references, and the preserved ends of those references. Each node keeps
+    its difference-graph id: with P preserved and D deleted elements, a
+    preserved element's id is its rank among the preserved uids (its index
+    in the sorted old elements less the deleted uids before it), the k-th
+    deleted element's is P + k and the k-th created element's P + D + k.
+    Trusted, as ``ChangeGraph.restrict`` is: the result is a subgraph of the
+    checked difference graph, so it is not checked again.
     """
-    g = dg.graph
-    changed_nodes = {n for n, l in g.nodes if not l.startswith(PRESERVED)}
-    changed_edges = [e for e in g.edges if not e[2].startswith(PRESERVED)]
-    boundary = {
-        n for s, d, _ in changed_edges for n in (s, d) if n not in changed_nodes
-    }
-    keep = changed_nodes | boundary
-    return dg.restrict(LabeledGraph.of([(n, g.label(n)) for n in keep], changed_edges))
+    old = dg.old
+    gone = [uid for uid, _ in dg.deleted]
+    preserved = len(old.elements) - len(gone)
+    old_ids = {uid: preserved + k for k, uid in enumerate(gone)}
+    new_ids = {uid: len(old.elements) + k for k, (uid, _) in enumerate(dg.created)}
+    boundary = {uid for ref in dg.deleted_references for uid in ref[:2] if uid not in old_ids}
+    boundary.update(uid for ref in dg.created_references for uid in ref[:2] if uid not in new_ids)
+
+    nodes: list[tuple[int, str]] = []
+    provenance: list[tuple[int, tuple[str, str]]] = []
+    for uid in sorted(boundary):
+        at = bisect_left(old.elements, (uid,))
+        nid = old_ids[uid] = new_ids[uid] = at - bisect_left(gone, uid)
+        nodes.append((nid, PRESERVED + old.elements[at][1]))
+        provenance.append((nid, (uid, "both")))
+    for ids, elements, prefix, origin in (
+        (old_ids, dg.deleted, DELETE, "old"), (new_ids, dg.created, CREATE, "new")
+    ):
+        for uid, typ in elements:
+            nodes.append((ids[uid], prefix + typ))
+            provenance.append((ids[uid], (uid, origin)))
+    edges = [(old_ids[s], old_ids[t], DELETE + etype) for s, t, etype in dg.deleted_references]
+    edges += [(new_ids[s], new_ids[t], CREATE + etype) for s, t, etype in dg.created_references]
+    return ChangeGraph(LabeledGraph(tuple(nodes), tuple(sorted(edges))), tuple(provenance))
 
 
 def change_components(cg: ChangeGraph) -> list[ChangeGraph]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from opminer.graphcore import LabeledGraph
+from opminer.modeldiff import ChangeGraph
 
 
 class UnionFind:
@@ -259,3 +260,48 @@ def minimal_code_oracle(g: LabeledGraph) -> tuple[str, tuple]:
     for root, _ in g.nodes:
         walk([root], frozenset(), [0], [])
     return best[1]
+
+
+def difference_graph_oracle(old, new):
+    """The whole difference graph of two model versions, built element by
+    element and checked by ``ChangeGraph.of``: elements correspond when uid
+    and type are equal, references when both ends correspond and the
+    reference is in both versions. Node ids: the preserved elements by
+    sorted uid, then the deleted in old order, then the created in new
+    order."""
+    old_types, new_types = dict(old.elements), dict(new.elements)
+    kept = {uid for uid, typ in old.elements if new_types.get(uid) == typ}
+    new_refs = set(new.references)
+    kept_refs = {
+        ref for ref in old.references if ref in new_refs and ref[0] in kept and ref[1] in kept
+    }
+    nodes, provenance, old_ids, new_ids = [], {}, {}, {}
+    rows = [(uid, old_types[uid], "preserved_", "both") for uid in sorted(kept)]
+    rows += [(uid, typ, "delete_", "old") for uid, typ in old.elements if uid not in kept]
+    rows += [(uid, typ, "create_", "new") for uid, typ in new.elements if uid not in kept]
+    for nid, (uid, typ, prefix, origin) in enumerate(rows):
+        nodes.append((nid, prefix + typ))
+        provenance[nid] = (uid, origin)
+        if origin != "new":
+            old_ids[uid] = nid
+        if origin != "old":
+            new_ids[uid] = nid
+    edges = [
+        (old_ids[s], old_ids[t], ("preserved_" if (s, t, e) in kept_refs else "delete_") + e)
+        for s, t, e in old.references
+    ]
+    edges += [(new_ids[s], new_ids[t], "create_" + e)
+              for s, t, e in new.references if (s, t, e) not in kept_refs]
+    return ChangeGraph.of(LabeledGraph.of(nodes, edges), provenance)
+
+
+def scg_oracle(dg):
+    """The simple change graph as the checked full difference graph ``dg``
+    restricted to its changed part: every create_/delete_ node and edge, plus
+    the preserved nodes a changed edge touches, with their difference-graph
+    ids and provenance."""
+    g = dg.graph
+    changed_nodes = {n for n, label in g.nodes if not label.startswith("preserved_")}
+    changed_edges = [e for e in g.edges if not e[2].startswith("preserved_")]
+    keep = changed_nodes | {n for s, d, _ in changed_edges for n in (s, d)}
+    return dg.restrict(LabeledGraph.of([(n, g.label(n)) for n in keep], changed_edges))

@@ -169,35 +169,53 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
         assert proc.stderr.startswith("error: ")
 
 
-# (case, --counts file text or None for a missing file, --out under tmp_path,
-# where "file" is an existing file, documented exit code)
+def metamodel_text(**containment) -> str:
+    """The fixture meta-model document, with the ``containment`` value of each
+    edge type named in ``containment`` replaced."""
+    doc = FIXTURE_METAMODEL.to_json()
+    for edge in doc["edgeTypes"]:
+        edge["containment"] = containment.get(edge["name"], edge["containment"])
+    return json.dumps(doc)
+
+
+# (case, --counts file text or None for a missing file, --metamodel file text
+# or None for none, --out under tmp_path, where "file" is an existing file,
+# documented exit code)
 SIMULATE_EXIT_CODES = [
-    ("ok", json.dumps(SMALL_COUNTS), "bundle", 0),
-    ("missing counts file", None, "bundle", 2),
-    ("malformed counts json", "{", "bundle", 2),
-    ("counts not an object", "[1, 2]", "bundle", 2),
-    ("string count", '{"Package": "abc"}', "bundle", 2),
-    ("fractional count", '{"Package": 2.5}', "bundle", 2),
-    ("boolean count", '{"Package": true}', "bundle", 2),
-    ("negative count", '{"Package": -1}', "bundle", 2),
-    ("unknown type", '{"Widget": 1}', "bundle", 2),
-    ("output is a file", json.dumps(SMALL_COUNTS), "file", 2),
+    ("ok", json.dumps(SMALL_COUNTS), None, "bundle", 0),
+    ("missing counts file", None, None, "bundle", 2),
+    ("malformed counts json", "{", None, "bundle", 2),
+    ("counts not an object", "[1, 2]", None, "bundle", 2),
+    ("string count", '{"Package": "abc"}', None, "bundle", 2),
+    ("fractional count", '{"Package": 2.5}', None, "bundle", 2),
+    ("boolean count", '{"Package": true}', None, "bundle", 2),
+    ("negative count", '{"Package": -1}', None, "bundle", 2),
+    ("unknown type", '{"Widget": 1}', None, "bundle", 2),
+    ("output is a file", json.dumps(SMALL_COUNTS), None, "file", 2),
+    ("ok with a meta-model", json.dumps(SMALL_COUNTS), metamodel_text(), "bundle", 0),
+    ("containment a string", json.dumps(SMALL_COUNTS), metamodel_text(port="true"), "bundle", 2),
+    ("containment an integer", json.dumps(SMALL_COUNTS), metamodel_text(port=1), "bundle", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, out, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
+    "text, mm, out, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
     ids=[row[0] for row in SIMULATE_EXIT_CODES],
 )
-def test_simulate_exit_codes(tmp_path, text, out, expected):
+def test_simulate_exit_codes(tmp_path, text, mm, out, expected):
     counts = tmp_path / "counts.json"
     if text is not None:
         counts.write_text(text, encoding="utf-8")
+    metamodel = []
+    if mm is not None:
+        (tmp_path / "mm.json").write_text(mm, encoding="utf-8")
+        metamodel = ["--metamodel", str(tmp_path / "mm.json")]
     (tmp_path / "file").write_text("", encoding="utf-8")
     run_env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", "simulate", "--d", "1", "--e", "1",
-         "--p", "0", "--seed", "1", "--counts", str(counts), "--out", str(tmp_path / out)],
+         "--p", "0", "--seed", "1", "--counts", str(counts), "--out", str(tmp_path / out),
+         *metamodel],
         env=run_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == expected, proc.stderr
@@ -326,8 +344,9 @@ def run_opminer(*args):
 # (case, old, new, --out, --metamodel or None, documented exit code); "old",
 # "new" and "mm" name the fig_files, "bad" a malformed JSON file, "missing" an
 # absent file, "nodir" a path in an absent directory, "dir" a directory,
-# "int-type" a model with an integer element type and "int-uids" a model whose
-# uids are integers
+# "int-type" a model with an integer element type, "int-uids" a model whose
+# uids are integers, "ab" a model of one A-to-B reference and "*-mm" meta-models
+# with a field of the wrong JSON type
 DIFF_EXIT_CODES = [
     ("ok", "old", "new", "scg.txt", "mm", 0),
     ("missing old model", "missing", "new", "scg.txt", None, 2),
@@ -338,6 +357,10 @@ DIFF_EXIT_CODES = [
     ("output is a directory", "old", "new", "dir", None, 2),
     ("element type not a string", "old", "int-type", "scg.txt", None, 2),
     ("integer uids", "int-uids", "int-uids", "scg.txt", None, 2),
+    ("containment a string", "old", "new", "scg.txt", "string-containment-mm", 2),
+    ("containment an integer", "old", "new", "scg.txt", "int-containment-mm", 2),
+    ("node types a string", "ab", "ab", "scg.txt", "string-types-mm", 2),
+    ("edge type name not a string", "old", "new", "scg.txt", "int-name-mm", 2),
 ]
 
 
@@ -355,6 +378,18 @@ def test_diff_exit_codes(tmp_path, fig_files, old, new, out, mm, expected):
     (tmp_path / "int-type").write_text(
         json.dumps({"elements": [{"uid": "a", "type": 5}], "references": []}), encoding="utf-8"
     )
+    (tmp_path / "string-containment-mm").write_text(metamodel_text(port="true"), encoding="utf-8")
+    (tmp_path / "int-containment-mm").write_text(metamodel_text(port=1), encoding="utf-8")
+    (tmp_path / "ab").write_text(json.dumps({
+        "elements": [{"uid": "a", "type": "A"}, {"uid": "b", "type": "B"}],
+        "references": [{"src": "a", "tgt": "b", "type": "r"}],
+    }), encoding="utf-8")
+    (tmp_path / "string-types-mm").write_text(json.dumps({
+        "nodeTypes": "AB", "edgeTypes": [{"name": "r", "src": "A", "tgt": "B"}],
+    }), encoding="utf-8")
+    int_name = json.loads(metamodel_text())
+    int_name["edgeTypes"].append({"name": 5, "src": "Package", "tgt": "Port"})
+    (tmp_path / "int-name-mm").write_text(json.dumps(int_name), encoding="utf-8")
     (tmp_path / "int-uids").write_text(json.dumps({
         "elements": [{"uid": 1, "type": "A"}, {"uid": 2, "type": "A"}],
         "references": [{"src": 1, "tgt": 2, "type": "r"}],

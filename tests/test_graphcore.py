@@ -43,7 +43,7 @@ class TestLabeledGraph:
         with pytest.raises(GraphError):
             g_of([(0, "A")], [(0, 0, "x")])
         with pytest.raises(GraphError):
-            LabeledGraph(((0, "A"), (1, "B")), ((0, 1, "x"), (0, 1, "x")))
+            LabeledGraph.of(((0, "A"), (1, "B")), ((0, 1, "x"), (0, 1, "x")))
 
     def test_parallel_edges_with_distinct_labels_allowed(self):
         g = g_of([(0, "A"), (1, "B")], [(0, 1, "x"), (0, 1, "y"), (1, 0, "x")])
@@ -73,8 +73,12 @@ class TestConnectedComponents:
     def test_matches_union_find_oracle(self, seed):
         rng = random.Random(seed)
         g = random_labeled_graph(rng, n_nodes=10, n_labels=3, edge_prob=0.12)
-        got = [frozenset(n for n, _ in c.nodes) for c in connected_components(g)]
-        assert got == components_oracle(g)
+        comps = connected_components(g)
+        assert [frozenset(n for n, _ in c.nodes) for c in comps] == components_oracle(g)
+        for comp, ids in zip(comps, components_oracle(g)):  # each a checked induced subgraph
+            assert comp == LabeledGraph.of(
+                [n for n in g.nodes if n[0] in ids], [e for e in g.edges if e[0] in ids]
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition(self, seed):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opminer.graphcore import connected_components
+from opminer.graphcore import LabeledGraph, connected_components
 from opminer.modeldiff import (
     CREATE,
     DELETE,
@@ -31,7 +32,7 @@ from fixtures import (
     fig_pair,
     working_view,
 )
-from oracles import components_oracle
+from oracles import components_oracle, difference_graph_oracle, scg_oracle
 from test_graphcore import JSON_TEXT, stdlib_json
 
 
@@ -275,6 +276,70 @@ class TestProperties:
         assert changed_edges_dg <= set(scg.graph.edges)
 
 
+def random_model_pair(rng: random.Random) -> tuple[ModelVersion, ModelVersion]:
+    """Two versions over a small uid pool: elements kept, deleted, created and
+    retyped (same uid, new type), references kept, removed and added, between
+    preserved elements too, and kept references whose end was retyped."""
+    pool = [f"u{i}" for i in range(rng.randint(0, 8))]
+    old_types = {uid: rng.choice("AB") for uid in pool if rng.random() < 0.7}
+    new_types = {}
+    for uid in pool:
+        if uid in old_types:
+            if rng.random() < 0.8:
+                same = rng.random() < 0.8
+                new_types[uid] = old_types[uid] if same else "B" if old_types[uid] == "A" else "A"
+        elif rng.random() < 0.5:
+            new_types[uid] = rng.choice("AB")
+
+    def some_references(types):
+        return {
+            (src, tgt, rng.choice("rs"))
+            for src in types for tgt in types if src != tgt and rng.random() < 0.2
+        }
+
+    old_refs = some_references(old_types)
+    kept = {ref for ref in old_refs if {ref[0], ref[1]} <= new_types.keys() and rng.random() < 0.7}
+    new_refs = kept | some_references(new_types)
+    return ModelVersion.of(old_types, old_refs), ModelVersion.of(new_types, new_refs)
+
+
+class TestDeltaSimpleChangeGraph:
+    def test_matches_restricted_full_graph(self):
+        """On random model pairs, the SCG built from the delta equals the full
+        difference graph, built element by element, restricted to its changed
+        part; the lazily built full graph equals that reference and a checked
+        rebuild of itself; and the components are the union-find oracle's.
+        Each case the delta must handle occurs."""
+        seen = Counter()
+        for seed in range(400):
+            old, new = random_model_pair(random.Random(seed))
+            dg = difference_graph(old, new)
+            reference = difference_graph_oracle(old, new)
+            graph = LabeledGraph.of(dg.graph.nodes, dg.graph.edges)
+            assert dg.change_graph == reference == ChangeGraph.of(graph, dict(dg.provenance))
+            scg = simple_change_graph(dg)
+            assert scg == scg_oracle(reference)
+            components = change_components(scg)
+            got = sorted((frozenset(n for n, _ in c.graph.nodes) for c in components), key=min)
+            assert got == components_oracle(scg.graph)
+            for comp in components:
+                ids = {n for n, _ in comp.graph.nodes}
+                assert comp.graph == LabeledGraph.of(
+                    [n for n in scg.graph.nodes if n[0] in ids],
+                    [e for e in scg.graph.edges if e[0] in ids],
+                )
+                assert comp == scg.restrict(comp.graph)
+            kept = {uid for uid, origin in reference.provenance_map.values() if origin == "both"}
+            seen["empty"] += not old.elements or not new.elements
+            seen["retyped"] += any(new.type_map.get(u, t) != t for u, t in old.elements)
+            shared = old.reference_set & new.reference_set
+            seen["retyped end"] += any(not {r[0], r[1]} <= kept for r in shared)
+            changed = old.reference_set ^ new.reference_set
+            seen["preserved ends"] += any({r[0], r[1]} <= kept for r in changed)
+        cases = ("empty", "retyped", "retyped end", "preserved ends")
+        assert all(seen[case] >= 10 for case in cases), seen
+
+
 # (case, nodes, edges, provenance, message of the ModelError ``ChangeGraph.of`` raises)
 INVALID_CHANGE_GRAPHS = [
     ("delete edge touching a create node",
@@ -359,6 +424,32 @@ class TestMetaModelJson:
     def test_invalid_document(self):
         with pytest.raises(ModelError):
             MetaModel.from_json({"nodeTypes": ["A"]})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "nodeTypes must be a list of strings"),
+        ({"nodeTypes": "AB", "edgeTypes": []}, "nodeTypes must be a list of strings"),
+        ({"nodeTypes": ["A", 1], "edgeTypes": []}, "nodeTypes must be a list of strings"),
+        ({"nodeTypes": ["A"], "edgeTypes": {}}, "edgeTypes must be a list"),
+        ({"nodeTypes": ["A"], "edgeTypes": ["r"]}, "needs string name, src and tgt"),
+        ({"nodeTypes": ["A"], "edgeTypes": [{"name": 5, "src": "A", "tgt": "A"}]},
+         "needs string name, src and tgt"),
+        ({"nodeTypes": ["A"], "edgeTypes": [{"name": "r", "src": "A"}]},
+         "needs string name, src and tgt"),
+        ({"nodeTypes": ["A"], "edgeTypes": [{"name": "r", "src": "A", "tgt": "A",
+                                             "containment": "false"}]},
+         "'r': containment must be true or false, not 'false'"),
+        ({"nodeTypes": ["A"], "edgeTypes": [{"name": "r", "src": "A", "tgt": "A",
+                                             "containment": 1}]},
+         "'r': containment must be true or false, not 1"),
+    ])
+    def test_fields_are_not_coerced(self, doc, message):
+        with pytest.raises(ModelError, match=message):
+            MetaModel.from_json(doc)
+
+    def test_absent_containment_is_false(self):
+        edge = {"name": "r", "src": "A", "tgt": "A"}
+        mm = MetaModel.from_json({"nodeTypes": ["A"], "edgeTypes": [edge]})
+        assert mm.containment_names == frozenset()
 
 
 def random_delta(rng: random.Random, model: ModelVersion, step: int):
