@@ -118,7 +118,11 @@ def _entry_graph(entry, where: str) -> LabeledGraph:
 
 
 def doc_to_patterns(doc) -> list[Pattern]:
-    """Patterns of a ``patterns_to_doc`` document; DocumentError if malformed."""
+    """Patterns of a ``patterns_to_doc`` document; DocumentError if malformed.
+
+    A document does not record closedness, so ``ranker.prune`` decides it
+    from the document's links, as ``Pattern.closed`` None asks.
+    """
     entries = doc.get("patterns") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise DocumentError("pattern document holds no patterns list")

@@ -111,21 +111,6 @@ class LabeledGraph:
     def label(self, nid: int) -> str:
         return self.label_map[nid]
 
-    def induced(self, node_ids: Iterable[int]) -> "LabeledGraph":
-        """Subgraph on the given nodes with every edge among them."""
-        keep = set(node_ids)
-        return LabeledGraph(
-            tuple(n for n in self.nodes if n[0] in keep),
-            tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
-        )
-
-    def relabel_ids(self, mapping: Mapping[int, int]) -> "LabeledGraph":
-        """Copy with node ids renamed through a bijection (labels unchanged)."""
-        return LabeledGraph.of(
-            [(mapping[n], l) for n, l in self.nodes],
-            [(mapping[s], mapping[d], l) for s, d, l in self.edges],
-        )
-
 
 def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     """Split into induced subgraphs on weak-connectivity classes.

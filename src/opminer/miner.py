@@ -5,9 +5,11 @@ Patterns grow depth-first in the style of gSpan: a pattern is its DFS code
 path by the extension step that code is grown with
 (``graphcore.rightmost_extensions``), and a child is kept only when its code
 is minimal, so every isomorphism class is grown once. Support counts
-distinct transactions, never embeddings. The result is exactly the set of
-connected subgraphs (up to isomorphism) contained in at least ``threshold``
-transactions, linked into a subgraph lattice.
+distinct transactions, never embeddings; isomorphic transactions are grown
+once, and each stands for all the transactions of its class. The result is
+exactly the set of connected subgraphs (up to isomorphism) contained in at
+least ``threshold`` transactions, each marked closed or not as it is grown,
+with subgraph lattice links that are built when they are first read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import itertools
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .graphcore import (
     CanonicalCode,
@@ -35,7 +38,7 @@ class MinerError(ValueError):
 
 
 class MiningBudgetExceeded(RuntimeError):
-    """Wall-clock budget ran out; carries the patterns finished so far."""
+    """Wall-clock budget ran out; carries the patterns grown so far (see ``mine``)."""
 
     def __init__(self, budget_s: float, partial: list["Pattern"]):
         super().__init__(f"mining exceeded the {budget_s:g}s budget")
@@ -44,7 +47,13 @@ class MiningBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TransactionDB:
-    """Connected graph transactions plus a source tag per transaction."""
+    """Connected graph transactions plus a source tag per transaction.
+
+    Mining and calibration grow each isomorphism class of transactions once,
+    from its first transaction, and weigh it by the class size
+    (``multiplicity``); ``transactions``, ``tags`` and ``len`` keep every
+    transaction.
+    """
 
     transactions: tuple[LabeledGraph, ...]
     tags: tuple[str, ...] = ()
@@ -67,25 +76,121 @@ class TransactionDB:
     def __len__(self) -> int:
         return len(self.transactions)
 
+    @cached_property
+    def multiplicity(self) -> dict[int, int]:
+        """Per isomorphism class, in transaction order: the index of its first
+        transaction -> the number of transactions in it.
 
-@dataclass(frozen=True)
+        Sorted node labels and sorted (source label, edge label, target label)
+        triples bucket the transactions, which fixes their node and edge
+        counts as well; ``canonical_code`` splits only buckets of two or more.
+        """
+        buckets: dict[tuple, list[int]] = {}
+        for tid, txn in enumerate(self.transactions):
+            labels = txn.label_map
+            key = (
+                tuple(sorted(labels.values())),
+                tuple(sorted((labels[s], el, labels[d]) for s, d, el in txn.edges)),
+            )
+            buckets.setdefault(key, []).append(tid)
+        sizes: dict[int, int] = {}
+        for tids in buckets.values():
+            if len(tids) == 1:
+                sizes[tids[0]] = 1
+                continue
+            classes: dict[CanonicalCode, list[int]] = {}
+            for tid in tids:
+                classes.setdefault(canonical_code(self.transactions[tid]), []).append(tid)
+            sizes.update((members[0], len(members)) for members in classes.values())
+        return dict(sorted(sizes.items()))
+
+    def support(self, tids: Iterable[int]) -> int:
+        """How many transactions the classes of the first transactions ``tids`` hold."""
+        return sum(self.multiplicity[tid] for tid in tids)
+
+
+_Links = tuple[tuple[CanonicalCode, ...], tuple[CanonicalCode, ...]]  # (children, parents)
+
+
+class _Lattice:
+    """The links of one set of patterns, given as (graph, code) pairs, built
+    on first read."""
+
+    def __init__(self, patterns: Sequence[tuple[LabeledGraph, CanonicalCode]]):
+        self.patterns = patterns
+
+    @cached_property
+    def links(self) -> dict[CanonicalCode, _Links]:
+        return _link(self.patterns)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Pattern:
     """A mined connected subgraph with transaction support and lattice links.
 
     ``children`` are canonical codes of direct subgraphs (one edge smaller),
     ``parents`` codes of direct supergraphs (one edge larger); both restricted
-    to patterns in the same mined set.
+    to patterns in the same set. ``mine`` gives its whole result one lattice,
+    built the first time any of its links is read; a pattern built by hand or
+    from a document carries the links it is given.
+
+    ``closed`` is True when no one-edge supergraph has the pattern's support
+    in the mined database, so no strict supergraph has; ``mine`` decides it
+    while growing, and marks False the one pattern still undecided when its
+    budget runs out. None means undecided, and ``ranker.prune`` then reads
+    the links. Equality compares graph, code, support and links.
     """
 
     graph: LabeledGraph
     code: CanonicalCode
     support: int
-    children: tuple[CanonicalCode, ...] = ()
-    parents: tuple[CanonicalCode, ...] = ()
+    closed: bool | None
+    _links: _Links | _Lattice = field(repr=False)
+
+    def __init__(
+        self,
+        graph: LabeledGraph,
+        code: CanonicalCode,
+        support: int,
+        children: Iterable[CanonicalCode] = (),
+        parents: Iterable[CanonicalCode] = (),
+        closed: bool | None = None,
+        *,
+        lattice: _Lattice | None = None,
+    ):
+        """``lattice``, when given, holds the links of the whole set and
+        replaces ``children`` and ``parents``."""
+        links = lattice or (tuple(children), tuple(parents))
+        for name, value in zip(("graph", "code", "support", "closed", "_links"),
+                               (graph, code, support, closed, links)):
+            object.__setattr__(self, name, value)
+
+    def _link_pair(self) -> _Links:
+        links = self._links
+        return links if isinstance(links, tuple) else links.links[self.code]
+
+    @property
+    def children(self) -> tuple[CanonicalCode, ...]:
+        return self._link_pair()[0]
+
+    @property
+    def parents(self) -> tuple[CanonicalCode, ...]:
+        return self._link_pair()[1]
 
     @property
     def size(self) -> int:
         return self.graph.size
+
+    def _key(self) -> tuple:
+        return (self.graph, self.code, self.support, self.children, self.parents)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.code, self.support))
 
 
 @dataclass(frozen=True)
@@ -96,56 +201,68 @@ class MinerConfig:
 
 
 # a growth node: pattern graph, its DFS code, rightmost path, projections
+# (the embeddings per first transaction of a class; see TransactionDB)
 _Node = tuple[LabeledGraph, CanonicalCode, tuple[int, ...], dict[int, list[tuple[int, ...]]]]
+_Extensions = dict[CodeEntry, dict[int, list[tuple[int, ...]]]]
 
 
 def _seeds(db: TransactionDB, threshold: int) -> list[_Node]:
     """Single-node patterns contained in at least ``threshold`` transactions."""
     singles: dict[str, dict[int, list[tuple[int, ...]]]] = {}
-    for tid, txn in enumerate(db.transactions):
-        for nid, label in txn.nodes:
+    for tid in db.multiplicity:
+        for nid, label in db.transactions[tid].nodes:
             singles.setdefault(label, {}).setdefault(tid, []).append((nid,))
     return [
         (LabeledGraph(((0, label),), ()), CanonicalCode(label, ()), (0,), singles[label])
         for label in sorted(singles, reverse=True)
-        if len(singles[label]) >= threshold
+        if db.support(singles[label]) >= threshold
     ]
 
 
-def _children(
+def _extensions(
     db: TransactionDB,
     node: _Node,
-    threshold: int,
     trees_only: bool,
     max_nodes: int | None,
     check_budget: Callable[[], None],
-) -> list[_Node]:
-    """Minimal-code one-edge extensions of ``node`` with support >= threshold.
+) -> _Extensions:
+    """The node's projections grown by ``graphcore.rightmost_extensions``.
 
-    A pattern's graph numbers nodes by discovery index. Projections map each
-    discovery index to a transaction node, grouped per transaction, and grow
-    by ``graphcore.rightmost_extensions``, with no backward edges when
-    ``trees_only`` and no forward edges once ``max_nodes`` nodes are reached.
-    Its rules only drop codes that are not minimal, so a frequent child is
-    kept only when its code is ``canonical_code`` of its graph: each
-    isomorphism class is reached exactly once, by its canonical code.
+    A pattern's graph numbers nodes by discovery index, and projections map
+    each discovery index to a transaction node, grouped per transaction.
+    There are no backward edges when ``trees_only`` and no forward edges once
+    ``max_nodes`` nodes are reached.
     """
     graph, code, rmpath, projections = node
     backward = not trees_only
     forward = max_nodes is None or graph.n_nodes < max_nodes
+    ext: _Extensions = {}
     if not (backward or forward):
-        return []
+        return ext
     extend = rightmost_extensions(
         code.root_label, code.entries, rmpath, backward=backward, forward=forward
     )
-    ext: dict[CodeEntry, dict[int, list[tuple[int, ...]]]] = {}
     for tid, embs in projections.items():
         check_budget()
         for entry, found in extend(db.transactions[tid].incident, embs).items():
             ext.setdefault(entry, {})[tid] = found
+    return ext
+
+
+def _frequent_minimal(
+    db: TransactionDB, node: _Node, ext: _Extensions, threshold: int
+) -> list[_Node]:
+    """The children in ``ext`` with support >= threshold and a minimal code.
+
+    The extension step's rules only drop codes that are not minimal, so a
+    frequent child is kept only when its code is ``canonical_code`` of its
+    graph: each isomorphism class is reached exactly once, by its canonical
+    code.
+    """
+    graph, code, rmpath, _ = node
     children = []
     for entry, child_projections in ext.items():
-        if len(child_projections) < threshold:
+        if db.support(child_projections) < threshold:
             continue
         i, j, dflag, _, el, to_label = entry
         # sorted, so trusted: a new node j is the largest id, the edge goes in at its place
@@ -160,6 +277,73 @@ def _children(
     return children
 
 
+def _children(
+    db: TransactionDB,
+    node: _Node,
+    threshold: int,
+    trees_only: bool,
+    max_nodes: int | None,
+    check_budget: Callable[[], None],
+) -> list[_Node]:
+    """Minimal-code one-edge extensions of ``node`` with support >= threshold,
+    grown as ``_extensions`` grows them."""
+    ext = _extensions(db, node, trees_only, max_nodes, check_budget)
+    return _frequent_minimal(db, node, ext, threshold)
+
+
+def _closed(
+    db: TransactionDB, node: _Node, ext: _Extensions, check_budget: Callable[[], None]
+) -> bool:
+    """Whether no one-edge supergraph of the node's pattern has its support.
+
+    A one-edge supergraph adds an edge from a pattern position to a new node,
+    keyed (position, direction flag, edge label, new node's label), or an
+    edge between two positions that the pattern lacks, keyed (source, target,
+    edge label). It has the pattern's support exactly when its key occurs,
+    under some embedding, in every transaction that holds the pattern. The
+    projections hold every embedding, automorphic copies included, so each
+    transaction's keys are closed under the pattern's automorphisms and one
+    key stands for its whole isomorphism class of supergraphs.
+
+    An extension in ``ext`` that reaches every transaction settles it at
+    once. Otherwise the keys of the smallest projection are intersected with
+    those of each further one, until none is left; the last one need only
+    show a single key.
+    """
+    graph, _, _, projections = node
+    if any(len(found) == len(projections) for found in ext.values()):
+        return False
+    held = graph.edge_set
+    candidates: set[tuple] | None = None
+    positions: range | set[int] = range(graph.n_nodes)
+    order = sorted(projections, key=lambda t: len(projections[t]))
+    for tid in order:
+        check_budget()
+        last = tid == order[-1]
+        incident = db.transactions[tid].incident
+        found: set[tuple] = set()
+        for emb in projections[tid]:
+            index = {v: k for k, v in enumerate(emb)}
+            for k in positions:
+                for w, dflag, el, w_label in incident[emb[k]]:
+                    j = index.get(w)
+                    if j is None:
+                        key: tuple = (k, dflag, el, w_label)
+                    elif dflag == 0 and (k, j, el) not in held:
+                        key = (k, j, el)
+                    else:
+                        continue  # seen from its source, or held by the pattern
+                    if candidates is None or key in candidates:
+                        found.add(key)
+            if found and (last or candidates is not None and len(found) == len(candidates)):
+                break  # in the last transaction, one common key is enough
+        if not found:
+            return True
+        candidates = found
+        positions = {key[0] for key in found}
+    return False
+
+
 def _mine_raw(
     db: TransactionDB,
     threshold: int,
@@ -167,25 +351,31 @@ def _mine_raw(
     *,
     trees_only: bool = False,
     max_nodes: int | None = None,
-) -> list[tuple[LabeledGraph, CanonicalCode, int]]:
-    """Every frequent pattern as (graph, code, support), grown depth-first.
+) -> list[tuple[LabeledGraph, CanonicalCode, int, bool]]:
+    """Every frequent pattern as (graph, code, support, closed), grown
+    depth-first.
 
-    ``trees_only`` and ``max_nodes`` restrict growth as in ``_children``.
+    ``trees_only`` and ``max_nodes`` restrict growth as in ``_extensions``.
+    Each pattern is recorded when it is popped, not closed until ``_closed``
+    decides; past the budget, MiningBudgetExceeded carries the recorded ones.
     """
     deadline = time.monotonic() + config.time_budget_s
-    results: list[tuple[LabeledGraph, CanonicalCode, int]] = []
+    results: list[tuple[LabeledGraph, CanonicalCode, int, bool]] = []
 
     def check_budget() -> None:
         if time.monotonic() > deadline:
-            raise MiningBudgetExceeded(config.time_budget_s, _finalize(results))
+            raise MiningBudgetExceeded(config.time_budget_s, _patterns(results))
 
     stack = _seeds(db, threshold)
     while stack:
         check_budget()
         node = stack.pop()
         graph, code, _, projections = node
-        results.append((graph, code, len(projections)))
-        children = _children(db, node, threshold, trees_only, max_nodes, check_budget)
+        support = db.support(projections)
+        results.append((graph, code, support, False))
+        ext = _extensions(db, node, trees_only, max_nodes, check_budget)
+        results[-1] = (graph, code, support, _closed(db, node, ext, check_budget))
+        children = _frequent_minimal(db, node, ext, threshold)
         children.sort(key=lambda c: c[1].sort_key, reverse=True)
         stack.extend(children)
     return results
@@ -217,33 +407,36 @@ def _direct_subgraphs(g: LabeledGraph) -> list[LabeledGraph]:
     return out
 
 
-def _finalize(raw: list[tuple[LabeledGraph, CanonicalCode, int]]) -> list[Pattern]:
-    """Order patterns deterministically and complete the subgraph lattice.
+def _link(patterns: Sequence[tuple[LabeledGraph, CanonicalCode]]) -> dict[CanonicalCode, _Links]:
+    """Per pattern code: its (children, parents) among ``patterns``, each
+    sorted by code.
 
-    A direct subgraph equal to a grown pattern graph takes that pattern's
-    code; only the others are canonicalised.
+    A direct subgraph equal to a pattern graph takes that pattern's code;
+    only the others are canonicalised.
     """
-    ordered = sorted(raw, key=lambda r: (r[0].n_edges, r[1].sort_key))
-    by_code = {code: i for i, (_, code, _) in enumerate(ordered)}
-    grown = {graph: code for graph, code, _ in ordered}
-    children: list[set[CanonicalCode]] = [set() for _ in ordered]
-    parents: list[set[CanonicalCode]] = [set() for _ in ordered]
-    for idx, (graph, code, _) in enumerate(ordered):
+    grown = {graph: code for graph, code in patterns}
+    children: dict[CanonicalCode, set[CanonicalCode]] = {code: set() for _, code in patterns}
+    parents: dict[CanonicalCode, set[CanonicalCode]] = {code: set() for _, code in patterns}
+    for graph, code in patterns:
         for sub in _direct_subgraphs(graph):
             sub_code = grown.get(sub) or canonical_code(sub)
-            j = by_code.get(sub_code)
-            if j is not None:
-                children[idx].add(sub_code)
-                parents[j].add(code)
+            if sub_code in children:
+                children[code].add(sub_code)
+                parents[sub_code].add(code)
+    def ordered(codes: set[CanonicalCode]) -> tuple[CanonicalCode, ...]:
+        return tuple(sorted(codes, key=lambda c: c.sort_key))
+
+    return {code: (ordered(children[code]), ordered(parents[code])) for code in children}
+
+
+def _patterns(raw: list[tuple[LabeledGraph, CanonicalCode, int, bool]]) -> list[Pattern]:
+    """Patterns ordered by (edge count, code), sharing one lattice that is
+    built on first read."""
+    ordered = sorted(raw, key=lambda r: (r[0].n_edges, r[1].sort_key))
+    lattice = _Lattice([(graph, code) for graph, code, _, _ in ordered])
     return [
-        Pattern(
-            graph,
-            code,
-            support,
-            children=tuple(sorted(children[i], key=lambda c: c.sort_key)),
-            parents=tuple(sorted(parents[i], key=lambda c: c.sort_key)),
-        )
-        for i, (graph, code, support) in enumerate(ordered)
+        Pattern(graph, code, support, closed=closed, lattice=lattice)
+        for graph, code, support, closed in ordered
     ]
 
 
@@ -257,10 +450,19 @@ def mine(
     """All connected subgraphs contained in at least ``threshold`` transactions.
 
     Support counts distinct transactions. The result is deduplicated by
-    canonical code, sorted by (edge count, code), and carries complete direct
-    sub/supergraph links among the returned patterns. A threshold above the
-    transaction count yields an empty result, or raises in strict mode.
-    Raises MiningBudgetExceeded (with partial results) past the time budget.
+    canonical code and sorted by (edge count, code). Each pattern's
+    ``closed`` flag is decided during growth from the projections it already
+    holds (see ``_closed``), so ``ranker.prune`` reads no links; the direct
+    sub/supergraph links among the returned patterns are built the first
+    time one is read. A threshold above the transaction count yields an
+    empty result, or raises in strict mode.
+
+    Past the time budget, at the next budget check, this raises
+    MiningBudgetExceeded. Its ``partial`` holds every pattern grown so far,
+    each with its exact support and with links among the partial set. Each
+    is marked closed only if it is closed in the whole database, and the one
+    pattern still being grown is marked not closed, so a ranking of a partial
+    result holds only globally closed patterns.
     """
     if threshold < 1:
         raise MinerError("threshold must be a positive integer")
@@ -270,7 +472,7 @@ def mine(
                 f"threshold {threshold} exceeds transaction count {len(db)}"
             )
         return []
-    return _finalize(_mine_raw(db, threshold, config))
+    return _patterns(_mine_raw(db, threshold, config))
 
 
 @dataclass(frozen=True)
@@ -332,7 +534,7 @@ def calibrate_threshold(db: TransactionDB, config: CalibrationConfig = Calibrati
 
     def push(node: _Node) -> None:
         nonlocal t
-        support = len(node[3])
+        support = db.support(node[3])
         if support < t:
             return
         heapq.heappush(heap, (-support, next(tie), node))

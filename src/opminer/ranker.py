@@ -3,9 +3,9 @@
 A pattern's compression value is (support - 1) * (nodes + edges): how much
 the input shrinks when every occurrence but one stored definition is replaced
 by a reference. Pruning keeps the closed patterns, those without a strict
-supergraph of equal support (which would compress at least as much); ranking
-sorts survivors by compression (or support, as the frequency baseline) with a
-deterministic tie-break.
+supergraph of equal support (which would compress at least as much), as the
+miner marked them; ranking sorts survivors by compression (or support, as the
+frequency baseline) with a deterministic tie-break.
 """
 
 from __future__ import annotations
@@ -47,17 +47,22 @@ class RankedList:
 
 
 def prune(patterns: Iterable[Pattern]) -> list[Pattern]:
-    """Keep the closed patterns: those no lattice parent matches in support.
+    """Keep the closed patterns: those no strict supergraph matches in support.
 
     A strict supergraph with equal support is larger, hence at least as
-    compressing, so it dominates. By downward closure such a supergraph
-    exists exactly when a direct supergraph (a lattice parent) has equal
-    support, so only parent links are read; they are complete for mined
-    sets. One-shot over the input set, hence idempotent.
+    compressing, so it dominates. ``mine`` marks each pattern ``closed`` while
+    it grows, against the whole database. A pattern whose ``closed`` is None
+    (read from a document, or built by hand) is decided from the links among
+    the given set: by downward closure a dominating supergraph exists exactly
+    when a direct supergraph (a lattice parent) has equal support, so only
+    parent links are read. One-shot over the input set, hence idempotent.
     """
     plist = list(patterns)
     support = {p.code: p.support for p in plist}
-    return [p for p in plist if all(support.get(c) != p.support for c in p.parents)]
+    return [
+        p for p in plist
+        if p.closed or (p.closed is None and all(support.get(c) != p.support for c in p.parents))
+    ]
 
 
 def rank(patterns: Iterable[Pattern], mode: str = "compression") -> RankedList:

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: union-find for components,
 permutation search for isomorphism, exhaustive enumeration for embeddings,
-connected subgraphs and frequent patterns. None of it shares code with the
-library paths it verifies.
+connected subgraphs, frequent and closed patterns. None of it shares code
+with the library paths it verifies. ``induced`` and ``relabel_ids`` are
+graph helpers for the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from typing import Iterable, Mapping
+
 from opminer.graphcore import LabeledGraph
 from opminer.modeldiff import ChangeGraph
 
@@ -27,6 +31,23 @@ class UnionFind:
 
     def union(self, a, b):
         self.parent[self.find(a)] = self.find(b)
+
+
+def induced(g: LabeledGraph, node_ids: Iterable[int]) -> LabeledGraph:
+    """Subgraph of ``g`` on the given nodes with every edge among them."""
+    keep = set(node_ids)
+    return LabeledGraph.of(
+        [n for n in g.nodes if n[0] in keep],
+        [e for e in g.edges if e[0] in keep and e[1] in keep],
+    )
+
+
+def relabel_ids(g: LabeledGraph, mapping: Mapping[int, int]) -> LabeledGraph:
+    """Copy of ``g`` with node ids renamed through a bijection (labels unchanged)."""
+    return LabeledGraph.of(
+        [(mapping[n], l) for n, l in g.nodes],
+        [(mapping[s], mapping[d], l) for s, d, l in g.edges],
+    )
 
 
 def components_oracle(g: LabeledGraph) -> list[frozenset[int]]:
@@ -144,6 +165,31 @@ def frequent_patterns_oracle(
     return [
         (rep, len(tids)) for rep, tids in classes.values() if len(tids) >= threshold
     ]
+
+
+def closed_patterns_oracle(
+    transactions: list[LabeledGraph], threshold: int
+) -> list[tuple[LabeledGraph, int]]:
+    """The closed classes of ``frequent_patterns_oracle``, as (representative,
+    support): those that no class one edge larger, containing the
+    representative by ``embeddings_oracle``, matches in support."""
+    classes = frequent_patterns_oracle(transactions, threshold)
+    labels = [
+        Counter(l for _, l in g.nodes) + Counter((g.label(a), l, g.label(b)) for a, b, l in g.edges)
+        for g, _ in classes
+    ]
+    by_support_and_size: dict[tuple[int, int], list[int]] = {}
+    for k, (h, t) in enumerate(classes):
+        by_support_and_size.setdefault((t, h.n_edges), []).append(k)
+
+    def dominated(k: int) -> bool:
+        g, s = classes[k]
+        return any(  # label counts first: a cheap necessary condition
+            not labels[k] - labels[m] and embeddings_oracle(g, classes[m][0])
+            for m in by_support_and_size.get((s, g.n_edges + 1), [])
+        )
+
+    return [classes[k] for k in range(len(classes)) if not dominated(k)]
 
 
 def connected_subtrees_oracle(

@@ -1,16 +1,21 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import opminer
+from opminer import miner
 from opminer.cli import main
-from opminer.graphcore import loads_transactions
+from opminer.graphcore import dumps_transactions, loads_transactions
+from opminer.miner import _link as link
 from opminer.modeldiff import save_model
 from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
+from oracles import random_connected_graph
 
 
 @pytest.fixture()
@@ -112,6 +117,22 @@ class TestMine:
         assert code == 3
         assert json.loads(out.read_text())["partial"] is True
 
+    def test_lattice_built_only_for_patterns_out(self, tmp_path, scg_file, monkeypatch):
+        # the ranking needs no lattice links; the pattern document does
+        def no_lattice(patterns):
+            raise AssertionError("lattice links built")
+
+        monkeypatch.setattr(miner, "_link", no_lattice)
+        out = tmp_path / "ranked.json"
+        assert main(["mine", str(scg_file), "--out", str(out), "--threshold", "3"]) == 0
+        assert json.loads(out.read_text())["items"]
+        built = []
+        monkeypatch.setattr(miner, "_link", lambda patterns: built.append(1) or link(patterns))
+        patterns_out = tmp_path / "patterns.json"
+        assert main(["mine", str(scg_file), "--out", str(out), "--threshold", "3",
+                     "--patterns-out", str(patterns_out)]) == 0
+        assert built == [1]
+
     def test_idempotent_outputs(self, tmp_path, scg_file):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["mine", str(scg_file), "--out", str(out1), "--threshold", "3"])
@@ -120,6 +141,13 @@ class TestMine:
 
 
 SRC_DIR = Path(opminer.__file__).resolve().parents[1]
+
+# two dense 12-node, 89-edge transactions: far more connected subgraphs than
+# a second of growth reaches at threshold 1
+_rng = random.Random(1)
+DENSE = dumps_transactions(
+    [random_connected_graph(_rng, 12, 2, extra_edge_prob=0.3) for _ in range(2)]
+)
 
 # (case, input file text or "scg" for the fig-pair database or None for a
 # missing file, environment, extra arguments, documented exit code); in the
@@ -135,6 +163,8 @@ MINE_EXIT_CODES = [
     ("budget out while mining", "scg", {"OPMINER_TIME_BUDGET_S": "0"},
      ["--threshold", "3"], 3),
     ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),
+    ("budget out while mining a dense graph", DENSE, {"OPMINER_TIME_BUDGET_S": "1"},
+     ["--threshold", "1"], 3),
     ("output directory missing", "scg", {}, ["--threshold", "3", "--out", "{absent}/r.json"], 2),
     ("patterns output directory missing", "scg", {},
      ["--threshold", "3", "--patterns-out", "{absent}/p.json"], 2),
@@ -157,12 +187,16 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
     run_env = {k: v for k, v in os.environ.items() if k != "OPMINER_TIME_BUDGET_S"}
     run_env.update(env, PYTHONPATH=str(SRC_DIR))
     extra = [arg.format(absent=tmp_path / "absent") for arg in extra]
+    start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", "mine", str(source), "--out", str(out), *extra],
         env=run_env, capture_output=True, text=True, timeout=120,
     )
+    elapsed = time.monotonic() - start
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
+    if expected == 3:  # an overrun ends at the budget, plus start-up and writing
+        assert elapsed < float(env["OPMINER_TIME_BUDGET_S"]) + 5, elapsed
     if expected in (0, 3):
         assert json.loads(out.read_text())["partial"] is (expected == 3)
     else:

@@ -18,9 +18,11 @@ from opminer.evalharness import (
     write_report_csv,
 )
 from opminer.graphcore import LabeledGraph, canonical_code
+from opminer import miner
 from opminer.miner import Pattern, TransactionDB
 from opminer.ranker import RankedItem, RankedList
 from opminer.simgen import default_catalogs, simulate, SimConfig
+from oracles import relabel_ids
 
 
 def ranked_of(graphs, mode="compression"):
@@ -48,7 +50,7 @@ class TestLocateTruth:
         base = LabeledGraph.of(
             [(0, "create_A"), (1, "create_B")], [(0, 1, "create_x")]
         )
-        permuted = base.relabel_ids({0: 7, 1: 3})
+        permuted = relabel_ids(base, {0: 7, 1: 3})
         ranked = ranked_of([(g("create_C"), 5), (base, 4)])
         assert locate_truth(ranked, {"t": permuted}) == {"t": 2}
 
@@ -169,6 +171,20 @@ class TestPipeline:
         assert compression_row["rank_truth_1"] == 1
         assert compression_row["ap@1"] == 1.0
         assert compression_row["ap@inf"] == 1.0
+
+    def test_builds_no_lattice(self, monkeypatch):
+        # mine marks closedness while it grows, so pruning and ranking read
+        # no lattice links
+        def no_lattice(patterns):
+            raise AssertionError("lattice links built")
+
+        monkeypatch.setattr(miner, "_link", no_lattice)
+        core, pert = default_catalogs()
+        bundle = simulate(
+            SimConfig(d=4, e=3, p=0.2, seed=3, core_rules=core, perturbations=pert)
+        )
+        rows = evaluate_dataset(bundle, ThresholdSpec("calibrate"), ks=(1,))
+        assert [r["rank_truth_1"] for r in rows] == [1, 1]
 
     def test_bundle_to_db_tags(self):
         core, pert = default_catalogs()

@@ -22,11 +22,13 @@ from opminer.graphcore import (
 from oracles import (
     components_oracle,
     embeddings_oracle,
+    induced,
     isomorphic_oracle,
     minimal_code_oracle,
     random_connected_graph,
     random_labeled_graph,
     random_multi_digraph,
+    relabel_ids,
 )
 
 
@@ -51,7 +53,7 @@ class TestLabeledGraph:
 
     def test_induced_keeps_internal_edges_only(self):
         g = g_of([(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "y")])
-        sub = g.induced([0, 1])
+        sub = induced(g, [0, 1])
         assert sub.nodes == ((0, "A"), (1, "B"))
         assert sub.edges == ((0, 1, "x"),)
 
@@ -145,7 +147,7 @@ class TestCanonicalCode:
 
     def test_antiparallel_pair(self):
         g = g_of([(0, "A"), (1, "A")], [(0, 1, "x"), (1, 0, "x")])
-        h = g.relabel_ids({0: 3, 1: 2})
+        h = relabel_ids(g, {0: 3, 1: 2})
         assert canonical_code(g) == canonical_code(h)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -155,7 +157,7 @@ class TestCanonicalCode:
         ids = [n for n, _ in g.nodes]
         shuffled = ids[:]
         rng.shuffle(shuffled)
-        h = g.relabel_ids(dict(zip(ids, shuffled)))
+        h = relabel_ids(g, dict(zip(ids, shuffled)))
         assert canonical_code(g) == canonical_code(h)
 
     def test_equality_matches_isomorphism_oracle_exhaustive(self):
@@ -381,7 +383,7 @@ def shuffled_ids(rng, g):
     ids = [n for n, _ in g.nodes]
     fresh = [100 + i for i in range(len(ids))]
     rng.shuffle(fresh)
-    return g.relabel_ids(dict(zip(ids, fresh)))
+    return relabel_ids(g, dict(zip(ids, fresh)))
 
 
 def as_nx(g):

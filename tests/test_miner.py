@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import types
 from pathlib import Path
@@ -21,6 +22,7 @@ from opminer.miner import (
     size_at_threshold,
 )
 from oracles import (
+    closed_patterns_oracle,
     connected_subgraphs_oracle,
     connected_subtrees_oracle,
     embeddings_oracle,
@@ -28,6 +30,7 @@ from oracles import (
     isomorphic_oracle,
     random_connected_graph,
     random_multi_digraph,
+    relabel_ids,
 )
 
 
@@ -177,6 +180,11 @@ class TestLattice:
                 )
                 assert (q.code in ups) == is_strict_super, (p.code.text, q.code.text)
 
+    def test_links_survive_pickling(self):
+        rng = random.Random(5)
+        patterns = mine(TransactionDB.of([random_connected_graph(rng, 4, 2) for _ in range(3)]), 2)
+        assert patterns and pickle.loads(pickle.dumps(patterns)) == patterns
+
     @pytest.mark.parametrize("seed", range(30))
     def test_links_match_direct_subgraph_oracle(self, seed):
         # dense little graphs: parallel and antiparallel edges, bridges that
@@ -199,6 +207,58 @@ class TestLattice:
         for q in patterns:
             assert set(q.parents) == {p.code for p in patterns if q.code in p.children}
             assert len(set(q.parents)) == len(q.parents)
+
+
+def random_db(rng, multi):
+    """Two to four small transactions: multi-digraphs with parallel and
+    antiparallel edges, or random connected graphs."""
+    if multi:
+        return [random_multi_digraph(rng, rng.randint(3, 5)) for _ in range(rng.randint(2, 4))]
+    return [random_connected_graph(rng, rng.randint(1, 4), 2) for _ in range(rng.randint(2, 4))]
+
+
+class TestClosedness:
+    @pytest.mark.parametrize("multi", [False, True], ids=["graphs", "multi"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_closed_flags_match_oracle(self, seed, multi):
+        # a supergraph of equal support is as frequent as the pattern, so
+        # closedness does not depend on the threshold
+        rng = random.Random(7100 + seed)
+        txns = random_db(rng, multi)
+        db = TransactionDB.of(txns)
+        closed = closed_patterns_oracle(txns, 1)
+        for threshold in range(1, len(txns) + 1):
+            got = sorted(p.code.text for p in mine(db, threshold) if p.closed)
+            expected = sorted(canonical_code(g).text for g, s in closed if s >= threshold)
+            assert got == expected, (seed, threshold)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_repeated_transactions_multiply_supports(self, seed):
+        # each transaction k times under fresh node ids, in a shuffled order:
+        # one isomorphism class per distinct transaction, the same codes,
+        # flags and links, and k times the supports at k times the threshold
+        rng = random.Random(7200 + seed)
+        txns = random_db(rng, seed % 2 == 1)
+        k = rng.randint(2, 3)
+        copies = []
+        for g in txns * k:
+            ids = [n for n, _ in g.nodes]
+            fresh = rng.sample(range(100), len(ids))
+            copies.append(relabel_ids(g, dict(zip(ids, fresh))))
+        rng.shuffle(copies)
+        db = TransactionDB.of(copies)
+        classes: dict[int, int] = {}
+        for tid, g in enumerate(copies):
+            rep = next((r for r in classes if isomorphic_oracle(copies[r], g)), tid)
+            classes[rep] = classes.get(rep, 0) + 1
+        assert db.multiplicity == classes
+        assert len(db) == len(copies) and db.transactions == tuple(copies)
+        for threshold in range(1, len(txns) + 1):
+            once = mine(TransactionDB.of(txns), threshold)
+            many = mine(db, k * threshold)
+            assert [(p.code, k * p.support, p.closed, p.children, p.parents) for p in once] == [
+                (p.code, p.support, p.closed, p.children, p.parents) for p in many
+            ]
 
 
 def rightmost_extensions(db, node, trees_only, max_nodes):
@@ -341,6 +401,33 @@ class TestBudgetAndCaps:
             assert p.parents == tuple(c for c in full[p.code].parents if c in kept)
 
 
+    def test_mine_stops_at_the_first_check_past_its_deadline(self, monkeypatch):
+        # a clock that only work moves: each canonical_code call takes one
+        # second. Growth reads it at every budget check; past the deadline
+        # the first check raises, and no canonical_code runs after it (the
+        # partial result builds no lattice).
+        rng = random.Random(11)
+        db = TransactionDB.of([random_connected_graph(rng, 6, 2) for _ in range(4)])
+        now, readings = [0.0], []
+
+        def work(g):
+            now[0] += 1
+            return canonical_code(g)
+
+        def monotonic():
+            readings.append(now[0])
+            return now[0]
+
+        monkeypatch.setattr(miner, "canonical_code", work)
+        monkeypatch.setattr(miner, "time", types.SimpleNamespace(monotonic=monotonic))
+        budget = 10
+        with pytest.raises(MiningBudgetExceeded) as exc_info:
+            mine(db, 1, config=MinerConfig(time_budget_s=budget))
+        assert [t for t in readings if t > budget] == [readings[-1]]
+        assert now[0] == readings[-1]
+        assert exc_info.value.partial
+
+
 class TestCalibration:
     def five_node_tree(self):
         return LabeledGraph.of(
@@ -379,7 +466,7 @@ class TestCalibration:
         from opminer.miner import _mine_raw
 
         raw = _mine_raw(db, 2, MinerConfig(), trees_only=True, max_nodes=4)
-        got = sorted((c.text, s) for g, c, s in raw if 2 <= g.n_nodes <= 4)
+        got = sorted((c.text, s) for g, c, s, _ in raw if 2 <= g.n_nodes <= 4)
         # oracle: bucket subtrees per transaction by isomorphism class
         classes: list[tuple[LabeledGraph, set[int]]] = []
         for tid, txn in enumerate(txns):
@@ -510,7 +597,7 @@ class TestCalibrationSearch:
         for cfg in [CalibrationConfig(), *calibration_configs(rng, len(db))]:
             lo, hi = cfg.size_range
             raw = _mine_raw(db, cfg.t_min, MinerConfig(), trees_only=True, max_nodes=hi)
-            supports = [s for g, _, s in raw if lo <= g.n_nodes <= hi]
+            supports = [s for g, _, s, _ in raw if lo <= g.n_nodes <= hi]
             expected = calibrated_by_definition(supports, cfg, len(db))
             assert calibrate_threshold(db, cfg) == expected, cfg
 

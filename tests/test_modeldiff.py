@@ -32,7 +32,7 @@ from fixtures import (
     fig_pair,
     working_view,
 )
-from oracles import components_oracle, difference_graph_oracle, scg_oracle
+from oracles import components_oracle, difference_graph_oracle, induced, scg_oracle
 from test_graphcore import JSON_TEXT, stdlib_json
 
 
@@ -403,8 +403,8 @@ class TestChangeGraphInvariants:
             assert scg == checked(dg, scg.graph)
             components = change_components(scg)
             assert components and all(comp == checked(scg, comp.graph) for comp in components)
-            induced = dg.graph.induced(n for n, _ in dg.graph.nodes if rng.random() < 0.5)
-            assert dg.restrict(induced) == checked(dg, induced)
+            sub = induced(dg.graph, (n for n, _ in dg.graph.nodes if rng.random() < 0.5))
+            assert dg.restrict(sub) == checked(dg, sub)
             prefixes |= {split_prefix(label)[0] for label in labels_of(scg)}
         assert prefixes == {CREATE, DELETE, PRESERVED}
 

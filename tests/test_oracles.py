@@ -9,6 +9,7 @@ from oracles import (
     permutation_canonical,
     random_connected_graph,
     random_labeled_graph,
+    relabel_ids,
 )
 
 
@@ -27,5 +28,5 @@ def test_permutation_canonical_invariant_under_relabeling(seed):
     ids = [n for n, _ in g.nodes]
     shuffled = ids[:]
     rng.shuffle(shuffled)
-    h = g.relabel_ids(dict(zip(ids, shuffled)))
+    h = relabel_ids(g, dict(zip(ids, shuffled)))
     assert permutation_canonical(g) == permutation_canonical(h)
