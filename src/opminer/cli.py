@@ -85,21 +85,21 @@ def _time_budget(args) -> float:
 
 
 def patterns_to_doc(patterns: list[Pattern], threshold: int, partial: bool) -> dict:
+    """The mined set, each pattern with its ``closed`` mark, so ``rank --in``
+    prunes as ``mine`` does. A full set also records its lattice links, as
+    indices into the list; a partial one does not, so that writing it builds
+    no lattice past the budget."""
     index = {p.code: i for i, p in enumerate(patterns)}
-    return {
-        "threshold": threshold,
-        "partial": partial,
-        "patterns": [
-            {
-                "code": p.code.text,
-                "support": p.support,
-                "graph": dumps_transactions([p.graph]),
-                "parents": sorted(index[c] for c in p.parents if c in index),
-                "children": sorted(index[c] for c in p.children if c in index),
-            }
-            for p in patterns
-        ],
-    }
+
+    def entry(p: Pattern) -> dict:
+        doc = {"code": p.code.text, "support": p.support, "closed": p.closed,
+               "graph": dumps_transactions([p.graph])}
+        if not partial:
+            doc["parents"] = sorted(index[c] for c in p.parents)
+            doc["children"] = sorted(index[c] for c in p.children)
+        return doc
+
+    return {"threshold": threshold, "partial": partial, "patterns": [entry(p) for p in patterns]}
 
 
 class DocumentError(ValueError):
@@ -118,35 +118,19 @@ def _entry_graph(entry, where: str) -> LabeledGraph:
 
 
 def doc_to_patterns(doc) -> list[Pattern]:
-    """Patterns of a ``patterns_to_doc`` document; DocumentError if malformed.
-
-    A document does not record closedness, so ``ranker.prune`` decides it
-    from the document's links, as ``Pattern.closed`` None asks.
-    """
+    """Patterns of a ``patterns_to_doc`` document, without links;
+    DocumentError if malformed."""
     entries = doc.get("patterns") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise DocumentError("pattern document holds no patterns list")
-    raw = []
+    patterns = []
     for k, entry in enumerate(entries):
         graph = _entry_graph(entry, f"pattern {k}")
-        links = [entry.get("parents", []), entry.get("children", [])]
-        if type(entry.get("support")) is not int or not all(
-            type(ids) is list and all(type(j) is int and 0 <= j < len(entries) for j in ids)
-            for ids in links
-        ):
-            raise DocumentError(f"pattern {k}: malformed support, parents or children")
-        raw.append((graph, entry["support"], *links))
-    codes = [canonical_code(g) for g, _, _, _ in raw]
-    return [
-        Pattern(
-            graph,
-            codes[i],
-            support,
-            children=tuple(codes[j] for j in children),
-            parents=tuple(codes[j] for j in parents),
-        )
-        for i, (graph, support, parents, children) in enumerate(raw)
-    ]
+        support, closed = entry.get("support"), entry.get("closed")
+        if type(support) is not int or type(closed) is not bool:
+            raise DocumentError(f"pattern {k}: support is not an integer or closed not a boolean")
+        patterns.append(Pattern(graph, canonical_code(graph), support, closed))
+    return patterns
 
 
 def ranked_to_doc(ranked: RankedList, threshold: int, partial: bool) -> dict:
@@ -418,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine, prune and rank patterns from SCG files")
     p.add_argument("inputs", nargs="+", help="transaction files or directories")
     p.add_argument("--out", required=True, help="ranked pattern document (json)")
-    p.add_argument("--patterns-out", help="also write the full pattern set with lattice")
+    p.add_argument("--patterns-out",
+                   help="also write the mined pattern set, each marked closed or not")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--relative", action="store_true",
                    help="interpret --threshold as a ratio of the transaction count")

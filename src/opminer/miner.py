@@ -124,73 +124,39 @@ class _Lattice:
         return _link(self.patterns)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True)
 class Pattern:
-    """A mined connected subgraph with transaction support and lattice links.
-
-    ``children`` are canonical codes of direct subgraphs (one edge smaller),
-    ``parents`` codes of direct supergraphs (one edge larger); both restricted
-    to patterns in the same set. ``mine`` gives its whole result one lattice,
-    built the first time any of its links is read; a pattern built by hand or
-    from a document carries the links it is given.
+    """A mined connected subgraph with its transaction support.
 
     ``closed`` is True when no one-edge supergraph has the pattern's support
     in the mined database, so no strict supergraph has; ``mine`` decides it
     while growing, and marks False the one pattern still undecided when its
-    budget runs out. None means undecided, and ``ranker.prune`` then reads
-    the links. Equality compares graph, code, support and links.
+    budget runs out.
+
+    ``children`` are canonical codes of direct subgraphs (one edge smaller),
+    ``parents`` codes of direct supergraphs (one edge larger); both restricted
+    to patterns in the same mined set. ``mine`` gives its whole result one
+    ``lattice``, built the first time any of its links is read; a pattern
+    built by hand or from a document has none, and no links to read.
     """
 
     graph: LabeledGraph
     code: CanonicalCode
     support: int
-    closed: bool | None
-    _links: _Links | _Lattice = field(repr=False)
-
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        code: CanonicalCode,
-        support: int,
-        children: Iterable[CanonicalCode] = (),
-        parents: Iterable[CanonicalCode] = (),
-        closed: bool | None = None,
-        *,
-        lattice: _Lattice | None = None,
-    ):
-        """``lattice``, when given, holds the links of the whole set and
-        replaces ``children`` and ``parents``."""
-        links = lattice or (tuple(children), tuple(parents))
-        for name, value in zip(("graph", "code", "support", "closed", "_links"),
-                               (graph, code, support, closed, links)):
-            object.__setattr__(self, name, value)
-
-    def _link_pair(self) -> _Links:
-        links = self._links
-        return links if isinstance(links, tuple) else links.links[self.code]
+    closed: bool
+    lattice: _Lattice | None = field(default=None, compare=False, repr=False)
 
     @property
     def children(self) -> tuple[CanonicalCode, ...]:
-        return self._link_pair()[0]
+        return self.lattice.links[self.code][0]
 
     @property
     def parents(self) -> tuple[CanonicalCode, ...]:
-        return self._link_pair()[1]
+        return self.lattice.links[self.code][1]
 
     @property
     def size(self) -> int:
         return self.graph.size
-
-    def _key(self) -> tuple:
-        return (self.graph, self.code, self.support, self.children, self.parents)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.code, self.support))
 
 
 @dataclass(frozen=True)
@@ -435,7 +401,7 @@ def _patterns(raw: list[tuple[LabeledGraph, CanonicalCode, int, bool]]) -> list[
     ordered = sorted(raw, key=lambda r: (r[0].n_edges, r[1].sort_key))
     lattice = _Lattice([(graph, code) for graph, code, _, _ in ordered])
     return [
-        Pattern(graph, code, support, closed=closed, lattice=lattice)
+        Pattern(graph, code, support, closed, lattice)
         for graph, code, support, closed in ordered
     ]
 

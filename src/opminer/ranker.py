@@ -51,18 +51,10 @@ def prune(patterns: Iterable[Pattern]) -> list[Pattern]:
 
     A strict supergraph with equal support is larger, hence at least as
     compressing, so it dominates. ``mine`` marks each pattern ``closed`` while
-    it grows, against the whole database. A pattern whose ``closed`` is None
-    (read from a document, or built by hand) is decided from the links among
-    the given set: by downward closure a dominating supergraph exists exactly
-    when a direct supergraph (a lattice parent) has equal support, so only
-    parent links are read. One-shot over the input set, hence idempotent.
+    it grows, against the whole database, and pattern documents carry the
+    mark, so pruning reads nothing else. Idempotent.
     """
-    plist = list(patterns)
-    support = {p.code: p.support for p in plist}
-    return [
-        p for p in plist
-        if p.closed or (p.closed is None and all(support.get(c) != p.support for c in p.parents))
-    ]
+    return [p for p in patterns if p.closed]
 
 
 def rank(patterns: Iterable[Pattern], mode: str = "compression") -> RankedList:

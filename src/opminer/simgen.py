@@ -394,7 +394,8 @@ def simulate(config: SimConfig) -> RepoBundle:
 
     Every application changes one ``WorkingModel`` in place, checked for
     conformance where it touches the model; each revision's version is a
-    snapshot of it, revalidated whole. Site exhaustion never fails the run:
+    snapshot of it, trusted without a second check of the whole model (see
+    ``WorkingModel.snapshot``). Site exhaustion never fails the run:
     the application is recorded as skipped with a warning. A rule that would
     break conformance raises ConformanceError. Replaying the logs from m0
     reproduces every version exactly.

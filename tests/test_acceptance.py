@@ -286,9 +286,9 @@ def test_criterion_6_formula_fixtures():
         [(i, f"T{i}") for i in range(7)],
         [(i, i + 1, "x") for i in range(6)] + [(6, 0, "y")],
     )
-    c196 = compression(Pattern(cycle, canonical_code(cycle), 15))
+    c196 = compression(Pattern(cycle, canonical_code(cycle), 15, True))
     single = LabeledGraph.of([(0, "A"), (1, "B")], [(0, 1, "x")])
-    c0 = compression(Pattern(single, canonical_code(single), 1))
+    c0 = compression(Pattern(single, canonical_code(single), 1, True))
     ap_half = ap_at_k([2], None, 1)
 
     monotone_failures = 0

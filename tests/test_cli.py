@@ -1,19 +1,23 @@
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 import opminer
 from opminer import miner
-from opminer.cli import main
+from opminer.cli import BUDGET_EXCEEDED, OK, main
+from opminer.evalharness import bundle_to_db
 from opminer.graphcore import dumps_transactions, loads_transactions
 from opminer.miner import _link as link
 from opminer.modeldiff import save_model
+from opminer.simgen import SimConfig, default_catalogs, simulate
 from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
 from oracles import random_connected_graph
 
@@ -151,8 +155,8 @@ DENSE = dumps_transactions(
 
 # (case, input file text or "scg" for the fig-pair database or None for a
 # missing file, environment, extra arguments, documented exit code); in the
-# extra arguments "{absent}" names an absent directory, and a second --out
-# replaces the default one
+# extra arguments "{absent}" names an absent directory and "{tmp}" the test's
+# directory, and a second --out replaces the default one
 MINE_EXIT_CODES = [
     ("ok", "scg", {}, ["--threshold", "3"], 0),
     ("missing input", None, {}, [], 2),
@@ -165,6 +169,8 @@ MINE_EXIT_CODES = [
     ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),
     ("budget out while mining a dense graph", DENSE, {"OPMINER_TIME_BUDGET_S": "1"},
      ["--threshold", "1"], 3),
+    ("budget out while mining a dense graph, with a pattern document", DENSE,
+     {"OPMINER_TIME_BUDGET_S": "1"}, ["--threshold", "1", "--patterns-out", "{tmp}/p.json"], 3),
     ("output directory missing", "scg", {}, ["--threshold", "3", "--out", "{absent}/r.json"], 2),
     ("patterns output directory missing", "scg", {},
      ["--threshold", "3", "--patterns-out", "{absent}/p.json"], 2),
@@ -186,7 +192,7 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
     out = tmp_path / "ranked.json"
     run_env = {k: v for k, v in os.environ.items() if k != "OPMINER_TIME_BUDGET_S"}
     run_env.update(env, PYTHONPATH=str(SRC_DIR))
-    extra = [arg.format(absent=tmp_path / "absent") for arg in extra]
+    extra = [arg.format(absent=tmp_path / "absent", tmp=tmp_path) for arg in extra]
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", "mine", str(source), "--out", str(out), *extra],
@@ -199,6 +205,9 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
         assert elapsed < float(env["OPMINER_TIME_BUDGET_S"]) + 5, elapsed
     if expected in (0, 3):
         assert json.loads(out.read_text())["partial"] is (expected == 3)
+        if "--patterns-out" in extra:  # a partial document carries no links
+            patterns = json.loads((tmp_path / "p.json").read_text())["patterns"]
+            assert patterns and all(("parents" in p) is (expected == 0) for p in patterns)
     else:
         assert proc.stderr.startswith("error: ")
 
@@ -277,10 +286,12 @@ PORT_IN_COMPONENT = "t # 0\nv 0 preserved_Component\nv 1 create_Port\ne 0 1 crea
 
 
 def pattern_doc(**changes):
-    """A two-pattern document (a Port under a Component and the Port alone),
-    with the fields of the larger pattern overridden by ``changes``."""
-    big = {"support": 2, "graph": PORT_IN_COMPONENT, "children": [1], **changes}
-    return {"threshold": 2, "patterns": [big, {"support": 3, "graph": PORT, "parents": [0]}]}
+    """A two-pattern document (a Port under a Component and the Port alone,
+    both closed), with the fields of the larger pattern overridden by
+    ``changes``."""
+    big = {"support": 2, "closed": True, "graph": PORT_IN_COMPONENT, "children": [1], **changes}
+    return {"threshold": 2,
+            "patterns": [big, {"support": 3, "closed": True, "graph": PORT, "parents": [0]}]}
 
 
 # (case, --in document, --out under tmp_path, documented exit code)
@@ -298,10 +309,10 @@ RANK_EXIT_CODES = [
     ("disconnected graph", pattern_doc(graph="t # 0\nv 0 a\nv 1 b\n"), "ranked.json", 2),
     ("string support", pattern_doc(support="2"), "ranked.json", 2),
     ("zero support", pattern_doc(support=0), "ranked.json", 2),
-    ("parent index out of range", pattern_doc(parents=[2]), "ranked.json", 2),
-    ("negative child index", pattern_doc(children=[-1]), "ranked.json", 2),
-    ("non-integer child index", pattern_doc(children=[1.0]), "ranked.json", 2),
-    ("children not a list", pattern_doc(children=1), "ranked.json", 2),
+    ("closed missing", {"patterns": [{"support": 2, "graph": PORT}]}, "ranked.json", 2),
+    ("closed an integer", pattern_doc(closed=1), "ranked.json", 2),
+    ("closed a string", pattern_doc(closed="true"), "ranked.json", 2),
+    ("closed null", pattern_doc(closed=None), "ranked.json", 2),
     ("output directory missing", pattern_doc(), "absent/ranked.json", 2),
 ]
 
@@ -594,6 +605,47 @@ class TestRankAndRules:
         assert code == 1
         assert (out_dir / "rule_0002.json").exists()
         assert not (out_dir / "rule_0001.json").exists()
+
+
+def round_trip_source(kind: str, seed: int) -> str:
+    """Transactions of a seeded random database (four random 6-node graphs)
+    or of a small simulated history."""
+    if kind == "random":
+        rng = random.Random(seed)
+        return dumps_transactions([random_connected_graph(rng, 6, 2) for _ in range(4)])
+    core, pert = default_catalogs()
+    bundle = simulate(SimConfig(d=2, e=2, p=0.5, seed=seed, core_rules=core,
+                                perturbations=pert, initial_counts=SMALL_COUNTS))
+    return dumps_transactions(bundle_to_db(bundle).transactions)
+
+
+@pytest.mark.parametrize("ticks", [None, 5, 20, 60])
+@pytest.mark.parametrize("by", ["compression", "frequency"])
+@pytest.mark.parametrize("kind, seed", [("random", s) for s in range(4)]
+                         + [("simulated", s) for s in range(1, 3)])
+def test_rank_of_pattern_document_equals_mine(tmp_path, monkeypatch, kind, seed, by, ticks):
+    """``rank --in`` a ``--patterns-out`` document ranks as ``mine --out``
+    does, on full runs and on partial ones. A clock that advances one second
+    per reading makes a budget of ``ticks`` seconds stop growth
+    deterministically; ``None`` runs to the end."""
+    source, ranked, patterns, reranked = (
+        tmp_path / name for name in ("db.txt", "ranked.json", "patterns.json", "reranked.json")
+    )
+    source.write_text(round_trip_source(kind, seed), encoding="utf-8")
+    monkeypatch.delenv("OPMINER_TIME_BUDGET_S", raising=False)
+    budget = []
+    if ticks is not None:
+        clock = itertools.count()
+        fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
+        monkeypatch.setattr(miner, "time", fake_time)
+        budget = ["--time-budget", str(ticks)]
+    code = main(["mine", str(source), "--threshold", "2", "--by", by, *budget,
+                 "--out", str(ranked), "--patterns-out", str(patterns)])
+    assert code == (OK if ticks is None else BUDGET_EXCEEDED)
+    assert main(["rank", "--in", str(patterns), "--by", by, "--out", str(reranked)]) == OK
+    mined, doc = json.loads(ranked.read_text()), json.loads(reranked.read_text())
+    assert doc["items"] == mined["items"]
+    assert doc["partial"] is mined["partial"] is (code == BUDGET_EXCEEDED)
 
 
 class TestSimulateEvalReport:

@@ -28,7 +28,7 @@ from oracles import relabel_ids
 def ranked_of(graphs, mode="compression"):
     items = []
     for i, (g, supp) in enumerate(graphs, start=1):
-        p = Pattern(g, canonical_code(g), supp)
+        p = Pattern(g, canonical_code(g), supp, True)
         items.append(RankedItem(i, p, supp, (supp - 1) * g.size))
     return RankedList(mode, tuple(items))
 

@@ -13,7 +13,7 @@ def make_pattern(n_nodes, n_edges, support, label="N"):
     nodes = [(i, f"{label}{i}") for i in range(n_nodes)]
     edges = [(i, i + 1, "x") for i in range(n_edges)]
     g = LabeledGraph.of(nodes, edges)
-    return Pattern(g, canonical_code(g), support)
+    return Pattern(g, canonical_code(g), support, True)
 
 
 def sg_minus_oracle(patterns):
@@ -41,7 +41,7 @@ class TestCompression:
             [(i, f"T{i}") for i in range(7)],
             [(i, i + 1, "x") for i in range(6)] + [(6, 0, "y")],
         )
-        assert compression(Pattern(g, canonical_code(g), 15)) == 196
+        assert compression(Pattern(g, canonical_code(g), 15, True)) == 196
 
     def test_support_one_is_zero(self):
         assert compression(make_pattern(4, 3, 1)) == 0
@@ -51,7 +51,7 @@ class TestCompression:
         g = LabeledGraph.of(
             [(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "y")]
         )
-        assert compression(Pattern(g, canonical_code(g), 30)) == 145
+        assert compression(Pattern(g, canonical_code(g), 30, True)) == 145
 
     def test_nonnegative(self):
         for support in (1, 2, 5):
@@ -59,18 +59,19 @@ class TestCompression:
 
 
 def chain_patterns():
-    """g1 c g2 c g3 nested patterns with controlled supports."""
+    """g1 c g2 c g3 nested patterns with controlled supports, marked closed
+    as a miner would mark them: g2 has g3's support, so it is not closed."""
     g1 = LabeledGraph.of([(0, "A"), (1, "B")], [(0, 1, "x")])
     g2 = LabeledGraph.of([(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "x")])
     g3 = LabeledGraph.of(
         [(0, "A"), (1, "B"), (2, "C"), (3, "D")],
         [(0, 1, "x"), (1, 2, "x"), (2, 3, "x")],
     )
-    c1, c2, c3 = canonical_code(g1), canonical_code(g2), canonical_code(g3)
-    p1 = Pattern(g1, c1, 30, parents=(c2,))
-    p2 = Pattern(g2, c2, 15, children=(c1,), parents=(c3,))
-    p3 = Pattern(g3, c3, 15, children=(c2,))
-    return p1, p2, p3
+    return (
+        Pattern(g1, canonical_code(g1), 30, True),
+        Pattern(g2, canonical_code(g2), 15, False),
+        Pattern(g3, canonical_code(g3), 15, True),
+    )
 
 
 class TestPrune:
@@ -86,9 +87,15 @@ class TestPrune:
 
     def test_equal_chain_nothing_removed_without_domination(self):
         g1 = LabeledGraph.of([(0, "A"), (1, "B")], [(0, 1, "x")])
-        c1 = canonical_code(g1)
-        p = Pattern(g1, c1, 5)
+        p = Pattern(g1, canonical_code(g1), 5, True)
         assert prune([p]) == [p]
+
+    def test_reads_no_links(self):
+        # hand-built patterns have no lattice, so reading a link raises
+        p1, p2, p3 = chain_patterns()
+        with pytest.raises(AttributeError):
+            p2.parents
+        assert prune([p3, p2, p1]) == [p3, p1]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_quadratic_oracle_on_mined_sets(self, seed):
@@ -133,6 +140,7 @@ class TestRank:
                 )
             ),
             15,
+            True,
         )
         g1 = Pattern(
             LabeledGraph.of([(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "y")]),
@@ -140,6 +148,7 @@ class TestRank:
                 LabeledGraph.of([(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "y")])
             ),
             30,
+            True,
         )
         ranked = rank([g1, g3], "compression")
         assert [i.compression for i in ranked.items] == [196, 145]
@@ -163,8 +172,8 @@ class TestRank:
         # a true tie: two distinct graphs, same support, same size
         ga = LabeledGraph.of([(0, "A"), (1, "A")], [(0, 1, "x")])
         gb = LabeledGraph.of([(0, "B"), (1, "B")], [(0, 1, "x")])
-        pa = Pattern(ga, canonical_code(ga), 4)
-        pb = Pattern(gb, canonical_code(gb), 4)
+        pa = Pattern(ga, canonical_code(ga), 4, True)
+        pb = Pattern(gb, canonical_code(gb), 4, True)
         r1 = rank([pa, pb], "compression")
         r2 = rank([pb, pa], "compression")
         assert [i.pattern.code for i in r1.items] == [i.pattern.code for i in r2.items]
