@@ -85,18 +85,18 @@ def _time_budget(args) -> float:
 
 
 def patterns_to_doc(patterns: list[Pattern], threshold: int, partial: bool) -> dict:
-    """The mined set, each pattern with its ``closed`` mark, so ``rank --in``
-    prunes as ``mine`` does. A full set also records its lattice links, as
-    indices into the list; a partial one does not, so that writing it builds
-    no lattice past the budget."""
+    """The mined ``patterns``, each with its ``closed`` mark, so ``rank --in``
+    prunes as ``mine`` does. A full set also records its lattice links among
+    ``patterns``, as indices into the list; a partial one does not, so that
+    writing it builds no lattice past the budget."""
     index = {p.code: i for i, p in enumerate(patterns)}
 
     def entry(p: Pattern) -> dict:
         doc = {"code": p.code.text, "support": p.support, "closed": p.closed,
                "graph": dumps_transactions([p.graph])}
         if not partial:
-            doc["parents"] = sorted(index[c] for c in p.parents)
-            doc["children"] = sorted(index[c] for c in p.children)
+            doc["parents"] = sorted(index[c] for c in p.parents if c in index)
+            doc["children"] = sorted(index[c] for c in p.children if c in index)
         return doc
 
     return {"threshold": threshold, "partial": partial, "patterns": [entry(p) for p in patterns]}

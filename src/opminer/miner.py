@@ -148,11 +148,17 @@ class Pattern:
 
     @property
     def children(self) -> tuple[CanonicalCode, ...]:
-        return self.lattice.links[self.code][0]
+        return self._links()[0]
 
     @property
     def parents(self) -> tuple[CanonicalCode, ...]:
-        return self.lattice.links[self.code][1]
+        return self._links()[1]
+
+    def _links(self) -> _Links:
+        if self.lattice is None:
+            raise ValueError(f"pattern {self.code.text} has no lattice: "
+                             "only mined patterns have links")
+        return self.lattice.links[self.code]
 
     @property
     def size(self) -> int:

@@ -12,11 +12,12 @@ import pytest
 
 import opminer
 from opminer import miner
-from opminer.cli import BUDGET_EXCEEDED, OK, main
+from opminer.cli import BUDGET_EXCEEDED, OK, main, patterns_to_doc
 from opminer.evalharness import bundle_to_db
 from opminer.graphcore import dumps_transactions, loads_transactions
 from opminer.miner import _link as link
 from opminer.modeldiff import save_model
+from opminer.ranker import prune
 from opminer.simgen import SimConfig, default_catalogs, simulate
 from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
 from oracles import random_connected_graph
@@ -96,6 +97,18 @@ class TestMine:
         pdoc = json.loads(patterns_path.read_text())
         assert pdoc["threshold"] == 3
         assert all("code" in p and "parents" in p for p in pdoc["patterns"])
+
+    def test_pattern_document_of_a_subset_links_within_it(self):
+        rng = random.Random(7)
+        db = miner.TransactionDB.of([random_connected_graph(rng, 5, 2) for _ in range(3)])
+        mined = miner.mine(db, 2)
+        kept = prune(mined)
+        codes = {p.code for p in kept}
+        assert any(set(p.children) - codes for p in kept)
+        doc = patterns_to_doc(kept, 2, False)
+        for p, entry in zip(kept, doc["patterns"]):
+            assert {kept[i].code for i in entry["parents"]} == set(p.parents) & codes
+            assert {kept[i].code for i in entry["children"]} == set(p.children) & codes
 
     def test_relative_threshold_echoed(self, tmp_path, scg_file, capsys):
         out = tmp_path / "ranked.json"

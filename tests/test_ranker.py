@@ -91,9 +91,9 @@ class TestPrune:
         assert prune([p]) == [p]
 
     def test_reads_no_links(self):
-        # hand-built patterns have no lattice, so reading a link raises
+        # hand-built patterns have no lattice, so they have no links to read
         p1, p2, p3 = chain_patterns()
-        with pytest.raises(AttributeError):
+        with pytest.raises(ValueError, match="no lattice"):
             p2.parents
         assert prune([p3, p2, p1]) == [p3, p1]
 
