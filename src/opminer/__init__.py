@@ -16,7 +16,6 @@ from .graphcore import (
 )
 from .miner import (
     CalibrationConfig,
-    MinerConfig,
     MiningBudgetExceeded,
     Pattern,
     TransactionDB,

@@ -34,7 +34,6 @@ from .graphcore import (
 )
 from .miner import (
     CalibrationConfig,
-    MinerConfig,
     MinerError,
     MiningBudgetExceeded,
     Pattern,
@@ -206,11 +205,11 @@ def _load_db(inputs: list[str]) -> TransactionDB:
     return TransactionDB.of(graphs, tags)
 
 
-def _resolve_threshold(args, db: TransactionDB, miner_config: MinerConfig) -> tuple[int, str]:
+def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[int, str]:
     if args.calibrate and args.threshold is not None:
         raise RankError("choose either --calibrate or --threshold, not both")
     if args.calibrate or args.threshold is None:
-        t = calibrate_threshold(db, CalibrationConfig(miner=miner_config))
+        t = calibrate_threshold(db, CalibrationConfig(time_budget_s=time_budget_s))
         return t, f"threshold: {t} (calibrated)"
     if args.relative:
         if not 0 < args.threshold <= 1:
@@ -225,14 +224,14 @@ def _resolve_threshold(args, db: TransactionDB, miner_config: MinerConfig) -> tu
 
 def cmd_mine(args) -> int:
     try:
-        miner_config = MinerConfig(time_budget_s=_time_budget(args))
+        time_budget_s = _time_budget(args)
         db = _load_db(args.inputs)
         if len(db) == 0:
             save_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
             print("threshold: n/a (empty input)")
             print("patterns: 0")
             return OK
-        threshold, header = _resolve_threshold(args, db, miner_config)
+        threshold, header = _resolve_threshold(args, db, time_budget_s)
     except (GraphError, MinerError, RankError, OSError) as exc:
         return _fail(str(exc))
     except MiningBudgetExceeded:
@@ -249,7 +248,7 @@ def cmd_mine(args) -> int:
     partial = False
     t0 = time.perf_counter()
     try:
-        patterns = mine(db, threshold, config=miner_config)
+        patterns = mine(db, threshold, time_budget_s=time_budget_s)
     except MiningBudgetExceeded as exc:
         patterns = exc.partial
         partial = True
@@ -275,11 +274,13 @@ def cmd_rank(args) -> int:
     try:
         doc = _read_json(args.input)
         patterns = doc_to_patterns(doc)
+        threshold, partial = doc.get("threshold", 0), doc.get("partial", False)
+        if type(threshold) is not int or threshold < 0:
+            raise DocumentError(f"threshold {threshold!r} is not a non-negative integer")
+        if type(partial) is not bool:
+            raise DocumentError(f"partial {partial!r} is not a boolean")
         ranked = rank(prune(patterns), args.by)
-        save_json(
-            ranked_to_doc(ranked, doc.get("threshold", 0), doc.get("partial", False)),
-            args.out,
-        )
+        save_json(ranked_to_doc(ranked, threshold, partial), args.out)
     except (GraphError, RankError, DocumentError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     print(f"ranked: {len(ranked)} patterns by {args.by}")

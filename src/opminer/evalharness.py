@@ -13,7 +13,6 @@ import csv
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 from .graphcore import LabeledGraph, canonical_code
 from .miner import (
     CalibrationConfig,
-    MinerConfig,
     TransactionDB,
     calibrate_threshold,
     mine,
@@ -272,15 +270,14 @@ def evaluate_dataset(
     bundle: RepoBundle,
     threshold_spec: ThresholdSpec,
     ks: Sequence[int] = DEFAULT_KS,
-    miner_config: MinerConfig | None = None,
+    time_budget_s: float = 300.0,
 ) -> list[dict]:
     """Run mining + both ranking modes on one bundle; two report rows."""
-    miner_config = miner_config or MinerConfig()
     db = bundle_to_db(bundle)
-    calibration = CalibrationConfig(miner=miner_config)
+    calibration = CalibrationConfig(time_budget_s=time_budget_s)
     threshold = threshold_spec.resolve(db, calibration)
     t0 = time.perf_counter()
-    patterns = mine(db, threshold, config=miner_config)
+    patterns = mine(db, threshold, time_budget_s=time_budget_s)
     mining_ms = (time.perf_counter() - t0) * 1000.0
     kept = prune(patterns)
 
@@ -321,12 +318,7 @@ def _run_cell(args: tuple) -> tuple[tuple, list[dict], str | None]:
     key = (d, e, p, seed)
     try:
         bundle = simulate(_cell_config(spec, d, e, p, seed))
-        rows = evaluate_dataset(
-            bundle,
-            spec.threshold,
-            spec.ks,
-            MinerConfig(time_budget_s=spec.time_budget_s),
-        )
+        rows = evaluate_dataset(bundle, spec.threshold, spec.ks, spec.time_budget_s)
         return key, rows, None
     except Exception as exc:  # per-cell failures never abort the grid
         return key, [], f"{type(exc).__name__}: {exc}"
@@ -362,6 +354,8 @@ def run_grid(spec: GridSpec) -> GridResult:
     args = [(spec, d, e, p, s) for d, e, p, s in cells]
     results: dict[tuple, tuple[list[dict], str | None]] = {}
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here only: loading it costs memory
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             for key, rows, err in pool.map(_run_cell, args):
                 results[key] = (rows, err)

@@ -310,12 +310,12 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
       extend a minimal prefix.
 
     So the kept embeddings end with every edge covered, and each step's
-    smallest entry is the next entry of the minimal code.
+    smallest entry is the next entry of the minimal code. On a connected
+    graph they then cover every node, and on a disconnected one they cannot:
+    the walk ends short of ``g.n_nodes`` exactly when g is disconnected.
     """
     if g.n_nodes == 0:
         raise GraphError("canonical code of the empty graph is undefined")
-    if not is_connected(g):
-        raise GraphError("canonical_code requires a connected graph")
     root_label = min(label for _, label in g.nodes)
     entries: tuple[CodeEntry, ...] = ()
     rmpath: tuple[int, ...] = (0,)
@@ -323,6 +323,8 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     while True:
         table = rightmost_extensions(root_label, entries, rmpath)(g.incident, embeddings)
         if not table:
+            if len(embeddings[0]) < g.n_nodes:
+                raise GraphError("canonical_code requires a connected graph")
             return CanonicalCode(root_label, entries)
         entry = min(table, key=_entry_key)
         entries += (entry,)

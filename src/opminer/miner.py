@@ -165,13 +165,6 @@ class Pattern:
         return self.graph.size
 
 
-@dataclass(frozen=True)
-class MinerConfig:
-    """Wall-clock budget of one mining run, in seconds."""
-
-    time_budget_s: float = 300.0
-
-
 # a growth node: pattern graph, its DFS code, rightmost path, projections
 # (the embeddings per first transaction of a class; see TransactionDB)
 _Node = tuple[LabeledGraph, CanonicalCode, tuple[int, ...], dict[int, list[tuple[int, ...]]]]
@@ -194,20 +187,17 @@ def _seeds(db: TransactionDB, threshold: int) -> list[_Node]:
 def _extensions(
     db: TransactionDB,
     node: _Node,
-    trees_only: bool,
-    max_nodes: int | None,
+    backward: bool,
+    forward: bool,
     check_budget: Callable[[], None],
 ) -> _Extensions:
-    """The node's projections grown by ``graphcore.rightmost_extensions``.
+    """The node's projections grown by ``graphcore.rightmost_extensions``,
+    with its ``backward`` and ``forward`` flags.
 
     A pattern's graph numbers nodes by discovery index, and projections map
     each discovery index to a transaction node, grouped per transaction.
-    There are no backward edges when ``trees_only`` and no forward edges once
-    ``max_nodes`` nodes are reached.
     """
-    graph, code, rmpath, projections = node
-    backward = not trees_only
-    forward = max_nodes is None or graph.n_nodes < max_nodes
+    _, code, rmpath, projections = node
     ext: _Extensions = {}
     if not (backward or forward):
         return ext
@@ -247,20 +237,6 @@ def _frequent_minimal(
             continue  # reached again, by its minimal code, from another parent
         children.append((child, child_code, rightmost_path(rmpath, entry), child_projections))
     return children
-
-
-def _children(
-    db: TransactionDB,
-    node: _Node,
-    threshold: int,
-    trees_only: bool,
-    max_nodes: int | None,
-    check_budget: Callable[[], None],
-) -> list[_Node]:
-    """Minimal-code one-edge extensions of ``node`` with support >= threshold,
-    grown as ``_extensions`` grows them."""
-    ext = _extensions(db, node, trees_only, max_nodes, check_budget)
-    return _frequent_minimal(db, node, ext, threshold)
 
 
 def _closed(
@@ -317,26 +293,20 @@ def _closed(
 
 
 def _mine_raw(
-    db: TransactionDB,
-    threshold: int,
-    config: MinerConfig,
-    *,
-    trees_only: bool = False,
-    max_nodes: int | None = None,
+    db: TransactionDB, threshold: int, time_budget_s: float
 ) -> list[tuple[LabeledGraph, CanonicalCode, int, bool]]:
     """Every frequent pattern as (graph, code, support, closed), grown
     depth-first.
 
-    ``trees_only`` and ``max_nodes`` restrict growth as in ``_extensions``.
     Each pattern is recorded when it is popped, not closed until ``_closed``
     decides; past the budget, MiningBudgetExceeded carries the recorded ones.
     """
-    deadline = time.monotonic() + config.time_budget_s
+    deadline = time.monotonic() + time_budget_s
     results: list[tuple[LabeledGraph, CanonicalCode, int, bool]] = []
 
     def check_budget() -> None:
         if time.monotonic() > deadline:
-            raise MiningBudgetExceeded(config.time_budget_s, _patterns(results))
+            raise MiningBudgetExceeded(time_budget_s, _patterns(results))
 
     stack = _seeds(db, threshold)
     while stack:
@@ -345,7 +315,7 @@ def _mine_raw(
         graph, code, _, projections = node
         support = db.support(projections)
         results.append((graph, code, support, False))
-        ext = _extensions(db, node, trees_only, max_nodes, check_budget)
+        ext = _extensions(db, node, True, True, check_budget)
         results[-1] = (graph, code, support, _closed(db, node, ext, check_budget))
         children = _frequent_minimal(db, node, ext, threshold)
         children.sort(key=lambda c: c[1].sort_key, reverse=True)
@@ -412,13 +382,7 @@ def _patterns(raw: list[tuple[LabeledGraph, CanonicalCode, int, bool]]) -> list[
     ]
 
 
-def mine(
-    db: TransactionDB,
-    threshold: int,
-    *,
-    strict: bool = False,
-    config: MinerConfig = MinerConfig(),
-) -> list[Pattern]:
+def mine(db: TransactionDB, threshold: int, *, time_budget_s: float = 300.0) -> list[Pattern]:
     """All connected subgraphs contained in at least ``threshold`` transactions.
 
     Support counts distinct transactions. The result is deduplicated by
@@ -427,7 +391,7 @@ def mine(
     holds (see ``_closed``), so ``ranker.prune`` reads no links; the direct
     sub/supergraph links among the returned patterns are built the first
     time one is read. A threshold above the transaction count yields an
-    empty result, or raises in strict mode.
+    empty result.
 
     Past the time budget, at the next budget check, this raises
     MiningBudgetExceeded. Its ``partial`` holds every pattern grown so far,
@@ -439,12 +403,8 @@ def mine(
     if threshold < 1:
         raise MinerError("threshold must be a positive integer")
     if threshold > len(db):
-        if strict:
-            raise MinerError(
-                f"threshold {threshold} exceeds transaction count {len(db)}"
-            )
         return []
-    return _patterns(_mine_raw(db, threshold, config))
+    return _patterns(_mine_raw(db, threshold, time_budget_s))
 
 
 @dataclass(frozen=True)
@@ -455,14 +415,14 @@ class CalibrationConfig:
     most ``budget`` subtrees with node count in ``size_range`` occur in t or
     more transactions, or ``t_max`` when none is; ``t_max`` falls back to the
     transaction count when unset, and a ``t_max`` below ``t_min`` gives
-    ``t_min``.
+    ``t_min``. The search has the wall-clock budget of a mining run.
     """
 
     t_min: int = 2
     t_max: int | None = None
     size_range: tuple[int, int] = (3, 8)
     budget: int = 100
-    miner: MinerConfig = field(default_factory=MinerConfig)
+    time_budget_s: float = 300.0
 
     def __post_init__(self) -> None:
         if self.t_min < 1:
@@ -478,12 +438,14 @@ def calibrate_threshold(db: TransactionDB, config: CalibrationConfig = Calibrati
     """Pick the mining threshold in one best-first pass over frequent subtrees.
 
     Top-k mining with a rising threshold (Han, Wang, Lu & Tzvetkov, ICDM
-    2002). Subtrees grow from a max-heap keyed on support, so they leave it in
-    non-increasing support order (a child never has more support than its
-    parent). The threshold rises from ``t_min`` to one above the support of
-    the (budget+1)-th most frequent in-range subtree found so far; children
-    below it are never pushed, and the search ends once the heap holds
-    nothing at or above it. The result equals scanning t upward over every
+    2002). Subtrees grow by the two calls mining makes, ``_extensions``
+    (without backward edges, and without forward ones at the largest
+    in-range size) then ``_frequent_minimal``, from a max-heap keyed on
+    support, so they leave it in non-increasing support order (a child never
+    has more support than its parent). The threshold rises from ``t_min`` to
+    one above the support of the (budget+1)-th most frequent in-range subtree
+    found so far; children below it are never pushed, and the search ends
+    once the heap holds nothing at or above it. The result equals scanning t upward over every
     subtree mined at ``t_min``. Raises MiningBudgetExceeded, with an empty
     ``partial``, past the time budget.
     """
@@ -493,11 +455,11 @@ def calibrate_threshold(db: TransactionDB, config: CalibrationConfig = Calibrati
     if t_max < config.t_min:
         return config.t_min
     lo, hi = config.size_range
-    deadline = time.monotonic() + config.miner.time_budget_s
+    deadline = time.monotonic() + config.time_budget_s
 
     def check_budget() -> None:
         if time.monotonic() > deadline:
-            raise MiningBudgetExceeded(config.miner.time_budget_s, [])
+            raise MiningBudgetExceeded(config.time_budget_s, [])
 
     t = config.t_min
     in_range: list[int] = []  # min-heap: supports >= t of in-range subtrees seen
@@ -522,7 +484,8 @@ def calibrate_threshold(db: TransactionDB, config: CalibrationConfig = Calibrati
     while heap and -heap[0][0] >= t:
         check_budget()
         node = heapq.heappop(heap)[2]
-        for child in _children(db, node, t, True, hi, check_budget):
+        ext = _extensions(db, node, False, node[0].n_nodes < hi, check_budget)
+        for child in _frequent_minimal(db, node, ext, t):
             push(child)
     return min(t, t_max)
 

@@ -10,7 +10,6 @@ drives.
 
 from __future__ import annotations
 
-import json
 import random as _random
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,11 +116,6 @@ class EditRule:
 
 def save_rule(rule: EditRule, path) -> None:
     save_json(rule.to_json(), path)
-
-
-def load_rule(path) -> EditRule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EditRule.from_json(json.load(fh))
 
 
 def pattern_to_rule(pattern: Pattern | LabeledGraph, name: str = "mined") -> EditRule:

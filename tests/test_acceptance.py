@@ -5,8 +5,10 @@ per-criterion lines as they complete. The two reduced experiment grids are
 module-scoped fixtures shared across criteria.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,12 @@ from opminer.rulegen import EditRule, rule_to_pattern_graph
 from opminer.simgen import SimConfig, default_catalogs, default_metamodel, simulate
 from oracles import frequent_patterns_oracle, random_connected_graph
 
-EXP_GRID = dict(
-    d_values=(10,),
-    e_values=(5, 10, 20),
-    p_values=(0.1, 0.2),
-    seeds=(1, 2, 3, 4, 5),
-)
+GRIDS = Path(__file__).resolve().parents[1] / "grids"
+
+
+def reduced_grid(experiment: str) -> GridSpec:
+    """The reduced grid of ``experiment`` as ``grids/`` specifies it."""
+    return GridSpec.from_json(json.loads((GRIDS / f"{experiment}-reduced.json").read_text()))
 
 
 def report(criterion: int, name: str, ok: bool, details: str) -> None:
@@ -41,20 +43,15 @@ def report(criterion: int, name: str, ok: bool, details: str) -> None:
 
 @pytest.fixture(scope="module")
 def exp1():
-    spec = GridSpec(rules="experiment1", threshold=ThresholdSpec("calibrate"),
-                    ks=(1, 5, 10), **EXP_GRID)
     t0 = time.perf_counter()
-    result = run_grid(spec)
+    result = run_grid(reduced_grid("experiment1"))
     elapsed = time.perf_counter() - t0
     return result, elapsed
 
 
 @pytest.fixture(scope="module")
 def exp2():
-    spec = GridSpec(rules="experiment2", threshold=ThresholdSpec("calibrate"),
-                    ks=(1, 2, 5, 10), **EXP_GRID)
-    result = run_grid(spec)
-    return result
+    return run_grid(reduced_grid("experiment2"))
 
 
 def test_criterion_1_reduced_experiment_1(exp1):

@@ -159,6 +159,18 @@ class TestMine:
 
 SRC_DIR = Path(opminer.__file__).resolve().parents[1]
 
+
+def test_import_loads_no_process_pool():
+    # only a grid run with jobs > 1 needs a process pool; no other opminer
+    # process should load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, opminer.cli; print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
 # two dense 12-node, 89-edge transactions: far more connected subgraphs than
 # a second of growth reaches at threshold 1
 _rng = random.Random(1)
@@ -326,6 +338,11 @@ RANK_EXIT_CODES = [
     ("closed an integer", pattern_doc(closed=1), "ranked.json", 2),
     ("closed a string", pattern_doc(closed="true"), "ranked.json", 2),
     ("closed null", pattern_doc(closed=None), "ranked.json", 2),
+    ("threshold a string", {**pattern_doc(), "threshold": "two"}, "ranked.json", 2),
+    ("threshold negative", {**pattern_doc(), "threshold": -1}, "ranked.json", 2),
+    ("threshold a boolean", {**pattern_doc(), "threshold": True}, "ranked.json", 2),
+    ("partial a string", {**pattern_doc(), "partial": "yes"}, "ranked.json", 2),
+    ("partial an integer", {**pattern_doc(), "partial": 1}, "ranked.json", 2),
     ("output directory missing", pattern_doc(), "absent/ranked.json", 2),
 ]
 

@@ -140,10 +140,23 @@ class TestCanonicalCode:
         assert canonical_code(fwd) != canonical_code(rev)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
-            canonical_code(g_of([(0, "A"), (1, "B")]))
-        with pytest.raises(GraphError):
-            canonical_code(g_of([]))
+        # the canonical walk starts at every smallest-label node and ends
+        # short of the node count on each of these
+        disconnected = [
+            g_of([(0, "A"), (1, "B")]),
+            # the smallest label in two components
+            g_of([(0, "A"), (1, "B"), (2, "A"), (3, "B")], [(0, 1, "x"), (2, 3, "x")]),
+            g_of([(0, "A"), (1, "A"), (2, "B")], [(0, 2, "x")]),
+            # a lone smallest-label node beside a connected part
+            g_of([(0, "A"), (1, "B"), (2, "C")], [(1, 2, "x"), (2, 1, "y")]),
+            # two components that share no label
+            g_of([(0, "A"), (1, "B"), (2, "C"), (3, "D")], [(0, 1, "x"), (2, 3, "x")]),
+            g_of([(0, "C"), (1, "D"), (2, "A"), (3, "B"), (4, "B")],
+                 [(0, 1, "x"), (1, 0, "x"), (2, 3, "y"), (3, 4, "y"), (4, 2, "z")]),
+        ]
+        for g in [*disconnected, g_of([])]:
+            with pytest.raises(GraphError):
+                canonical_code(g)
 
     def test_antiparallel_pair(self):
         g = g_of([(0, "A"), (1, "A")], [(0, 1, "x"), (1, 0, "x")])

@@ -13,7 +13,6 @@ from opminer import miner
 from opminer.graphcore import CanonicalCode, LabeledGraph, canonical_code
 from opminer.miner import (
     CalibrationConfig,
-    MinerConfig,
     MinerError,
     MiningBudgetExceeded,
     TransactionDB,
@@ -76,8 +75,6 @@ class TestMineBasics:
     def test_threshold_above_db_size(self):
         db = TransactionDB.of([edge_graph()])
         assert mine(db, 2) == []
-        with pytest.raises(MinerError):
-            mine(db, 2, strict=True)
 
     def test_threshold_must_be_positive(self):
         db = TransactionDB.of([edge_graph()])
@@ -266,9 +263,10 @@ class TestClosedness:
             ]
 
 
-def rightmost_extensions(db, node, trees_only, max_nodes):
+def rightmost_extensions(db, node, backward, forward):
     """Every code entry that extends a growth node by one transaction edge on
-    its rightmost path, read off the transactions' edge lists, no rule applied."""
+    its rightmost path, read off the transactions' edge lists, no rule applied;
+    backward entries only when ``backward``, forward ones only when ``forward``."""
     graph, code, rmpath, projections = node
     labels, n, r = graph.label_map, graph.n_nodes, rmpath[-1]
     entries = set()
@@ -279,12 +277,12 @@ def rightmost_extensions(db, node, trees_only, max_nodes):
             for s, d, el in txn.edges:
                 a, b = index.get(s), index.get(d)
                 if a is not None and b is not None:
-                    if trees_only or r not in (a, b) or (a, b, el) in graph.edge_set:
+                    if not backward or r not in (a, b) or (a, b, el) in graph.edge_set:
                         continue
                     j = b if a == r else a
                     if j in rmpath:
                         entries.add((r, j, 0 if a == r else 1, labels[r], el, labels[j]))
-                elif (a if b is None else b) in rmpath and (max_nodes is None or n < max_nodes):
+                elif (a if b is None else b) in rmpath and forward:
                     i, w, dflag = (a, d, 0) if b is None else (b, s, 1)
                     entries.add((i, n, dflag, labels[i], el, txn.label(w)))
     return entries
@@ -312,7 +310,7 @@ def named_rule(code, rmpath, entry):
 
 
 class TestGrowthRules:
-    """``_children``, through ``graphcore.rightmost_extensions``, drops exactly
+    """``_extensions``, through ``graphcore.rightmost_extensions``, drops exactly
     the extensions that step's three rules name, before collecting their
     projections, and each of them has a non-minimal code. The same step grows
     ``canonical_code``, whose minimality ``test_graphcore`` checks against an
@@ -321,22 +319,24 @@ class TestGrowthRules:
     @pytest.mark.parametrize("trees_only", [False, True], ids=["graphs", "trees"])
     @pytest.mark.parametrize("seed", range(12))
     def test_rejected_extensions_are_not_minimal(self, seed, trees_only, monkeypatch):
-        # Threshold 1 makes every extension frequent, so ``_children`` asks
-        # ``canonical_code`` about each one its rules let through; the rest
-        # were rejected by a rule.
+        # Threshold 1 makes every extension frequent, so ``_frequent_minimal``
+        # asks ``canonical_code`` about each one the rules let through; the
+        # rest were rejected by a rule. Trees are grown as calibration grows
+        # them: no backward edges, no forward ones at 5 nodes.
         rng = random.Random(9100 + seed)
         db = TransactionDB.of([random_multi_digraph(rng, rng.randint(4, 6)) for _ in range(3)])
         asked = set()
         monkeypatch.setattr(miner, "canonical_code", lambda g: asked.add(g) or canonical_code(g))
-        max_nodes = 5 if trees_only else None
         rejected = collections.Counter()
         stack = miner._seeds(db, 1)
         while stack:
             node = stack.pop()
             graph, code, rmpath, _ = node
             asked.clear()
-            children = miner._children(db, node, 1, trees_only, max_nodes, lambda: None)
-            for entry in rightmost_extensions(db, node, trees_only, max_nodes):
+            backward, forward = not trees_only, not trees_only or graph.n_nodes < 5
+            ext = miner._extensions(db, node, backward, forward, lambda: None)
+            children = miner._frequent_minimal(db, node, ext, 1)
+            for entry in rightmost_extensions(db, node, backward, forward):
                 child = child_graph(graph, entry)
                 rule = named_rule(code, rmpath, entry)
                 assert (child not in asked) == (rule is not None), (code.text, entry)
@@ -379,7 +379,7 @@ class TestBudgetAndCaps:
         txns = [random_connected_graph(rng, 7, 2, extra_edge_prob=0.3) for _ in range(3)]
         db = TransactionDB.of(txns)
         with pytest.raises(MiningBudgetExceeded) as exc_info:
-            mine(db, 1, config=MinerConfig(time_budget_s=0.02))
+            mine(db, 1, time_budget_s=0.02)
         assert isinstance(exc_info.value.partial, list)
 
     @pytest.mark.parametrize("ticks", [3, 20, 80])
@@ -396,7 +396,7 @@ class TestBudgetAndCaps:
         fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
         monkeypatch.setattr(miner, "time", fake_time)
         with pytest.raises(MiningBudgetExceeded) as exc_info:
-            mine(db, 2, config=MinerConfig(time_budget_s=ticks))
+            mine(db, 2, time_budget_s=ticks)
         partial = exc_info.value.partial
         assert 0 < len(partial) < len(full)
         kept = {p.code for p in partial}
@@ -427,10 +427,24 @@ class TestBudgetAndCaps:
         monkeypatch.setattr(miner, "time", types.SimpleNamespace(monotonic=monotonic))
         budget = 10
         with pytest.raises(MiningBudgetExceeded) as exc_info:
-            mine(db, 1, config=MinerConfig(time_budget_s=budget))
+            mine(db, 1, time_budget_s=budget)
         assert [t for t in readings if t > budget] == [readings[-1]]
         assert now[0] == readings[-1]
         assert exc_info.value.partial
+
+
+def frequent_subtrees(db, threshold, max_nodes):
+    """(graph, code, support) of every subtree of at most ``max_nodes`` nodes
+    in at least ``threshold`` transactions, grown depth-first by the miner's
+    own steps without backward edges, as calibration grows them."""
+    found, stack = [], miner._seeds(db, threshold)
+    while stack:
+        node = stack.pop()
+        graph, code, _, projections = node
+        found.append((graph, code, db.support(projections)))
+        ext = miner._extensions(db, node, False, graph.n_nodes < max_nodes, lambda: None)
+        stack.extend(miner._frequent_minimal(db, node, ext, threshold))
+    return found
 
 
 class TestCalibration:
@@ -468,10 +482,7 @@ class TestCalibration:
         rng = random.Random(21)
         txns = [random_connected_graph(rng, 5, 2) for _ in range(4)]
         db = TransactionDB.of(txns)
-        from opminer.miner import _mine_raw
-
-        raw = _mine_raw(db, 2, MinerConfig(), trees_only=True, max_nodes=4)
-        got = sorted((c.text, s) for g, c, s, _ in raw if 2 <= g.n_nodes <= 4)
+        got = sorted((c.text, s) for g, c, s in frequent_subtrees(db, 2, 4) if g.n_nodes >= 2)
         # oracle: bucket subtrees per transaction by isomorphism class
         classes: list[tuple[LabeledGraph, set[int]]] = []
         for tid, txn in enumerate(txns):
@@ -591,7 +602,6 @@ class TestCalibrationSearch:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_exhaustive_scan_on_histories(self, seed, both_core_rules):
         from opminer.evalharness import bundle_to_db
-        from opminer.miner import _mine_raw
         from opminer.simgen import SimConfig, default_catalogs, simulate
 
         core, pert = default_catalogs(both_core_rules=both_core_rules)
@@ -601,8 +611,7 @@ class TestCalibrationSearch:
         rng = random.Random(seed)
         for cfg in [CalibrationConfig(), *calibration_configs(rng, len(db))]:
             lo, hi = cfg.size_range
-            raw = _mine_raw(db, cfg.t_min, MinerConfig(), trees_only=True, max_nodes=hi)
-            supports = [s for g, _, s, _ in raw if lo <= g.n_nodes <= hi]
+            supports = [s for g, _, s in frequent_subtrees(db, cfg.t_min, hi) if lo <= g.n_nodes]
             expected = calibrated_by_definition(supports, cfg, len(db))
             assert calibrate_threshold(db, cfg) == expected, cfg
 
@@ -614,7 +623,7 @@ class TestCalibrationSearch:
         txns = [random_connected_graph(rng, 6, 2) for _ in range(5)]
         db = TransactionDB.of(txns)
         cfg = CalibrationConfig(
-            t_min=1, size_range=(1, 6), budget=1000, miner=MinerConfig(time_budget_s=ticks)
+            t_min=1, size_range=(1, 6), budget=1000, time_budget_s=ticks
         )
         clock = itertools.count()
         fake_time = types.SimpleNamespace(monotonic=lambda: float(next(clock)))
