@@ -30,7 +30,6 @@ from .modeldiff import (
     ModelError,
     ModelVersion,
     difference_graph,
-    match,
     simple_change_graph,
 )
 from .ranker import RankedList, compression, prune, rank

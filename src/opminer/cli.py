@@ -216,7 +216,7 @@ def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[i
             raise RankError("relative threshold must lie in (0, 1]")
         t = max(1, math.ceil(args.threshold * len(db)))
         return t, f"threshold: {t} (relative {args.threshold} of {len(db)})"
-    if args.threshold != int(args.threshold) or args.threshold < 1:
+    if not args.threshold.is_integer() or args.threshold < 1:
         raise RankError("absolute threshold must be a positive integer")
     t = int(args.threshold)
     return t, f"threshold: {t} (fixed)"
@@ -228,6 +228,8 @@ def cmd_mine(args) -> int:
         db = _load_db(args.inputs)
         if len(db) == 0:
             save_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
+            if args.patterns_out:
+                save_json(patterns_to_doc([], 0, False), args.patterns_out)
             print("threshold: n/a (empty input)")
             print("patterns: 0")
             return OK

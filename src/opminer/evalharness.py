@@ -126,7 +126,8 @@ class ThresholdSpec:
     def __post_init__(self) -> None:
         number = _is_number(self.value)
         if self.mode == "fixed":
-            if not (number and self.value == int(self.value) and self.value >= 1):
+            whole = number and (isinstance(self.value, int) or self.value.is_integer())
+            if not (whole and self.value >= 1):
                 raise EvalError("fixed threshold needs a positive integer value")
         elif self.mode == "relative":
             if not (number and 0 < self.value <= 1):

@@ -1,12 +1,12 @@
-"""Model versions, id-based matching, difference graphs and simple change graphs.
+"""Model versions, difference graphs and simple change graphs.
 
-Two successive versions of a typed model are matched on persistent element
-ids into one difference graph whose labels carry preserved_/create_/delete_
-prefixes, and reduced to the simple change graph (SCG): all changed elements
-plus the minimal preserved nodes needed to complete dangling changed edges.
-The SCG is built from the changed elements alone; the whole difference graph
-is built only when read. SCG connected components are the transactions the
-miner consumes.
+Two successive versions of a typed model are compared on persistent element
+ids and types. Their difference graph, whose labels carry
+preserved_/create_/delete_ prefixes, is held as what changed between them,
+and reduced to the simple change graph (SCG): all changed elements plus the
+minimal preserved nodes needed to complete dangling changed edges. The SCG
+is built from the changes alone; the whole difference graph is never built.
+SCG connected components are the transactions the miner consumes.
 """
 
 from __future__ import annotations
@@ -427,25 +427,9 @@ def load_model(path) -> ModelVersion:
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """Matched elements (by uid) and references between two versions."""
-
-    elements: frozenset[str]
-    references: frozenset[tuple[str, str, str]]
-
-
-def match(old: ModelVersion, new: ModelVersion) -> Correspondence:
-    """Pure uid+type matching: elements correspond iff uid and type are equal.
-
-    References correspond iff their endpoints correspond and the type is
-    equal. An element whose type changed is treated as deleted and re-created.
-    """
-    return difference_graph(old, new).correspondence
-
-
-@dataclass(frozen=True)
 class ChangeGraph:
-    """A difference graph or SCG plus provenance back to concrete elements.
+    """A change graph (an SCG or one of its components) plus provenance back
+    to concrete elements.
 
     Node labels are <prefix><NodeType>, edge labels <prefix><EdgeType>.
     Provenance maps node id to (uid, origin) with origin in {old, new, both}.
@@ -467,22 +451,19 @@ class ChangeGraph:
         cg._validate()
         return cg
 
-    @cached_property
-    def provenance_map(self) -> dict[int, tuple[str, str]]:
-        return dict(self.provenance)
-
     def restrict(self, graph: LabeledGraph) -> "ChangeGraph":
         """The change graph on ``graph``, a subgraph of this one's graph (same
         node ids and labels), with provenance taken from this one. Trusted: a
         subgraph of a checked change graph passes every check of ``of``."""
-        provenance = self.provenance_map
+        provenance = dict(self.provenance)
         return ChangeGraph(graph, tuple((nid, provenance[nid]) for nid, _ in graph.nodes))
 
     def _validate(self) -> None:
+        provenance = dict(self.provenance)
         node_prefix = {}
         for nid, label in self.graph.nodes:
             node_prefix[nid], _ = split_prefix(label)
-            if nid not in self.provenance_map:
+            if nid not in provenance:
                 raise ModelError(f"node {nid} has no provenance entry")
         for src, dst, label in self.graph.edges:
             prefix, _ = split_prefix(label)
@@ -499,82 +480,24 @@ class ChangeGraph:
 
 @dataclass(frozen=True)
 class DifferenceGraph:
-    """The unified difference graph of two versions, held as the versions and
-    what changed between them: the elements and references of each version
-    that correspond to none of the other. Their complement is the
-    correspondence, which ``match`` returns.
+    """The unified difference graph of two versions, held as the old version
+    and what changed between them: the elements and references of each
+    version that correspond to none of the other. Elements correspond when
+    uid and type are equal, references when they are in both versions and
+    both their ends correspond.
 
     Node ids follow one rule: the preserved elements first, by sorted uid,
     then the deleted elements in old order, then the created elements in new
     order (model elements are sorted by uid, so both orders are uid order).
-    ``simple_change_graph`` numbers the nodes it takes by that rule without
-    building the rest. The correspondence, and ``graph`` and ``provenance``
-    (the whole graph, checked by ``ChangeGraph.of``), are built when first
-    read.
+    ``simple_change_graph`` numbers the nodes it takes by that rule; the
+    whole graph, preserved part included, is never built.
     """
 
     old: ModelVersion
-    new: ModelVersion
     deleted: tuple[tuple[str, str], ...]  # in old order
     created: tuple[tuple[str, str], ...]  # in new order
     deleted_references: frozenset[tuple[str, str, str]]
     created_references: frozenset[tuple[str, str, str]]
-
-    @cached_property
-    def correspondence(self) -> Correspondence:
-        gone = {uid for uid, _ in self.deleted}
-        return Correspondence(
-            frozenset(uid for uid, _ in self.old.elements if uid not in gone),
-            self.old.reference_set - self.deleted_references,
-        )
-
-    @cached_property
-    def change_graph(self) -> ChangeGraph:
-        old, new, corr = self.old, self.new, self.correspondence
-        nodes: list[tuple[int, str]] = []
-        provenance: dict[int, tuple[str, str]] = {}
-        old_ids: dict[str, int] = {}
-        new_ids: dict[str, int] = {}
-
-        def add(uid: str, typ: str, prefix: str, origin: str) -> int:
-            nid = len(nodes)
-            nodes.append((nid, prefix + typ))
-            provenance[nid] = (uid, origin)
-            return nid
-
-        for uid in sorted(corr.elements):
-            nid = add(uid, old.type_map[uid], PRESERVED, "both")
-            old_ids[uid] = new_ids[uid] = nid
-        for uid, typ in old.elements:
-            if uid not in corr.elements:
-                old_ids[uid] = add(uid, typ, DELETE, "old")
-        for uid, typ in new.elements:
-            if uid not in corr.elements:
-                new_ids[uid] = add(uid, typ, CREATE, "new")
-
-        edges: list[tuple[int, int, str]] = []
-        for src, tgt, etype in old.references:
-            prefix = PRESERVED if (src, tgt, etype) in corr.references else DELETE
-            edges.append((old_ids[src], old_ids[tgt], prefix + etype))
-        for src, tgt, etype in new.references:
-            if (src, tgt, etype) not in corr.references:
-                edges.append((new_ids[src], new_ids[tgt], CREATE + etype))
-        return ChangeGraph.of(LabeledGraph.of(nodes, edges), provenance)
-
-    @property
-    def graph(self) -> LabeledGraph:
-        return self.change_graph.graph
-
-    @property
-    def provenance(self) -> tuple[tuple[int, tuple[str, str]], ...]:
-        return self.change_graph.provenance
-
-    @property
-    def provenance_map(self) -> dict[int, tuple[str, str]]:
-        return self.change_graph.provenance_map
-
-    def restrict(self, graph: LabeledGraph) -> ChangeGraph:
-        return self.change_graph.restrict(graph)
 
 
 def difference_graph(old: ModelVersion, new: ModelVersion) -> DifferenceGraph:
@@ -599,7 +522,7 @@ def difference_graph(old: ModelVersion, new: ModelVersion) -> DifferenceGraph:
         )
         deleted_references |= moved
         created_references |= moved
-    return DifferenceGraph(old, new, deleted, created, deleted_references, created_references)
+    return DifferenceGraph(old, deleted, created, deleted_references, created_references)
 
 
 def simple_change_graph(dg: DifferenceGraph) -> ChangeGraph:
@@ -615,7 +538,8 @@ def simple_change_graph(dg: DifferenceGraph) -> ChangeGraph:
     in the sorted old elements less the deleted uids before it), the k-th
     deleted element's is P + k and the k-th created element's P + D + k.
     Trusted, as ``ChangeGraph.restrict`` is: the result is a subgraph of the
-    checked difference graph, so it is not checked again.
+    whole difference graph, which passes every check of ``ChangeGraph.of``,
+    so it is not checked.
     """
     old = dg.old
     gone = [uid for uid, _ in dg.deleted]

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .graphcore import LabeledGraph, save_json
-from .miner import Pattern
 from .modeldiff import (
     CREATE,
     DELETE,
@@ -51,7 +50,6 @@ class EditRule:
     deleted_nodes: tuple[tuple[int, str], ...] = ()
     created_edges: tuple[tuple[int, int, str], ...] = ()
     deleted_edges: tuple[tuple[int, int, str], ...] = ()
-    provenance: str = "authored"
 
     def __post_init__(self) -> None:
         ids = [n for n, _ in self.context_nodes + self.created_nodes + self.deleted_nodes]
@@ -118,7 +116,7 @@ def save_rule(rule: EditRule, path) -> None:
     save_json(rule.to_json(), path)
 
 
-def pattern_to_rule(pattern: Pattern | LabeledGraph, name: str = "mined") -> EditRule:
+def pattern_to_rule(graph: LabeledGraph, name: str = "mined") -> EditRule:
     """Interpret a change-prefixed pattern graph as an edit rule.
 
     preserved_ nodes become context, create_/delete_ parts the created and
@@ -126,10 +124,6 @@ def pattern_to_rule(pattern: Pattern | LabeledGraph, name: str = "mined") -> Edi
     raise an error naming the offending element. Preserved edges have no rule
     representation and are rejected.
     """
-    graph = pattern.graph if isinstance(pattern, Pattern) else pattern
-    provenance = (
-        pattern.code.text if isinstance(pattern, Pattern) else "authored"
-    )
     context, created, deleted = [], [], []
     for nid, label in graph.nodes:
         try:
@@ -155,7 +149,6 @@ def pattern_to_rule(pattern: Pattern | LabeledGraph, name: str = "mined") -> Edi
         deleted_nodes=tuple(deleted),
         created_edges=tuple(created_edges),
         deleted_edges=tuple(deleted_edges),
-        provenance=provenance,
     )
 
 
@@ -184,7 +177,7 @@ def _deleted_edge_uids(rule: EditRule, binding: Mapping[int, str]):
 
 
 def _binding_valid(rule: EditRule, model: WorkingModel, binding: Mapping[int, str]) -> bool:
-    """Type match, injectivity, deleted edges present, no dangling deletions,
+    """Equal types, injectivity, deleted edges present, no dangling deletions,
     and no created edge that would duplicate an existing reference."""
     values = list(binding.values())
     if len(set(values)) != len(values):

@@ -122,10 +122,14 @@ class TestMine:
     def test_empty_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
-        out = tmp_path / "ranked.json"
-        assert main(["mine", str(empty), "--out", str(out)]) == 0
+        out, patterns = tmp_path / "ranked.json", tmp_path / "patterns.json"
+        assert main(["mine", str(empty), "--out", str(out), "--patterns-out", str(patterns)]) == 0
         doc = json.loads(out.read_text())
         assert doc["items"] == []
+        assert json.loads(patterns.read_text()) == {"threshold": 0, "partial": False, "patterns": []}
+        reranked = tmp_path / "reranked.json"
+        assert main(["rank", "--in", str(patterns), "--out", str(reranked)]) == 0
+        assert json.loads(reranked.read_text()) == doc
 
     def test_budget_exceeded_exit_code(self, tmp_path, scg_file, monkeypatch):
         monkeypatch.setenv("OPMINER_TIME_BUDGET_S", "0.0")
@@ -189,6 +193,10 @@ MINE_EXIT_CODES = [
     ("disconnected transaction", "t # 0\nv 0 a\nv 1 b\n", {}, [], 2),
     ("non-numeric budget", "scg", {"OPMINER_TIME_BUDGET_S": "abc"}, [], 2),
     ("two threshold modes", "scg", {}, ["--calibrate", "--threshold", "3"], 2),
+    ("threshold not a number", "scg", {}, ["--threshold", "nan"], 2),
+    ("infinite threshold", "scg", {}, ["--threshold", "inf"], 2),
+    ("threshold beyond float range", "scg", {}, ["--threshold", "1e400"], 2),
+    ("relative threshold not a number", "scg", {}, ["--relative", "--threshold", "nan"], 2),
     ("budget out while mining", "scg", {"OPMINER_TIME_BUDGET_S": "0"},
      ["--threshold", "3"], 3),
     ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),
@@ -513,6 +521,9 @@ EVAL_EXIT_CODES = [
     ("threshold not an object", grid(threshold=2), 2),
     ("unknown threshold mode", grid(threshold={"mode": "median"}), 2),
     ("fixed threshold without value", grid(threshold={"mode": "fixed"}), 2),
+    ("fixed threshold not a number",
+     grid(threshold={"mode": "fixed", "value": float("nan")}), 2),
+    ("infinite fixed threshold", grid(threshold={"mode": "fixed", "value": float("inf")}), 2),
     ("relative threshold above one", grid(threshold={"mode": "relative", "value": 2}), 2),
     ("zero k", grid(k=[0]), 2),
     ("zero jobs", grid(jobs=0), 2),

@@ -18,7 +18,6 @@ from opminer.modeldiff import (
     change_components,
     change_counts,
     difference_graph,
-    match,
     save_model,
     save_models,
     simple_change_graph,
@@ -38,6 +37,41 @@ from test_graphcore import JSON_TEXT, stdlib_json
 
 def labels_of(cg: ChangeGraph):
     return [l for _, l in cg.graph.nodes] + [l for _, _, l in cg.graph.edges]
+
+
+def corresponding(dg):
+    """The uids and references a difference graph preserves: the old
+    version's, less the deleted ones."""
+    gone = {uid for uid, _ in dg.deleted}
+    uids = {uid for uid, _ in dg.old.elements if uid not in gone}
+    return uids, dg.old.reference_set - dg.deleted_references
+
+
+def delta_labels(dg):
+    """The change labels of a difference graph's delete_ and create_ parts."""
+    return Counter(
+        [DELETE + t for _, t in dg.deleted] + [CREATE + t for _, t in dg.created]
+        + [DELETE + r[2] for r in dg.deleted_references]
+        + [CREATE + r[2] for r in dg.created_references]
+    )
+
+
+def oracle_delta(reference: ChangeGraph):
+    """The deleted and created elements, each in id order, and the deleted and
+    created references of a whole difference graph, by uid."""
+    provenance = dict(reference.provenance)
+    elements = {DELETE: [], CREATE: []}
+    references = {DELETE: set(), CREATE: set()}
+    for nid, label in reference.graph.nodes:
+        prefix, typ = split_prefix(label)
+        if prefix != PRESERVED:
+            elements[prefix].append((provenance[nid][0], typ))
+    for src, dst, label in reference.graph.edges:
+        prefix, etype = split_prefix(label)
+        if prefix != PRESERVED:
+            references[prefix].add((provenance[src][0], provenance[dst][0], etype))
+    return (tuple(elements[DELETE]), tuple(elements[CREATE]),
+            references[DELETE], references[CREATE])
 
 
 class TestModelVersion:
@@ -125,17 +159,20 @@ class TestSaveModels:
 
 
 class TestMatch:
+    """Elements correspond when uid and type are equal: what a difference
+    graph preserves is the plain intersection of the versions' (uid, type)
+    pairs."""
+
     def test_identical_versions(self):
         _, new = fig_pair()
-        corr = match(new, new)
-        assert corr.elements == {u for u, _ in new.elements}
-        assert corr.references == set(new.references)
+        uids, references = corresponding(difference_graph(new, new))
+        assert uids == {u for u, _ in new.elements}
+        assert references == set(new.references)
 
     def test_disjoint_uids(self):
         a = ModelVersion.of([("x", "T")])
         b = ModelVersion.of([("y", "T")])
-        corr = match(a, b)
-        assert corr.elements == frozenset() and corr.references == frozenset()
+        assert corresponding(difference_graph(a, b)) == (set(), frozenset())
 
     def test_one_renamed_uid_among_ten(self):
         elems = [(f"e{i}", "Component") for i in range(10)]
@@ -143,49 +180,59 @@ class TestMatch:
         new = ModelVersion.of([("renamed", "Component")] + elems[1:])
         # oracle: plain set intersection on (uid, type) pairs
         expected = {u for u, t in set(old.elements) & set(new.elements)}
-        assert match(old, new).elements == expected
+        assert corresponding(difference_graph(old, new))[0] == expected
         assert len(expected) == 9
 
     def test_retyped_element_not_matched(self):
         old = ModelVersion.of([("a", "Component")])
         new = ModelVersion.of([("a", "Package")])
-        assert match(old, new).elements == frozenset()
+        assert corresponding(difference_graph(old, new))[0] == set()
 
 
 class TestDifferenceGraph:
+    """Each case is checked on the delta ``difference_graph`` holds and on the
+    whole graph ``difference_graph_oracle`` builds."""
+
     def test_fig_scenario(self):
         old, new = fig_pair()
-        dg = difference_graph(old, new)
-        by_label = {}
-        for label in labels_of(dg):
-            by_label[label] = by_label.get(label, 0) + 1
+        by_label = Counter(labels_of(difference_graph_oracle(old, new)))
         assert by_label["preserved_Component"] == 2
         assert by_label["create_Port"] == 2
         assert by_label["create_Connector"] == 1
         assert by_label["create_Requirement"] == 1
         assert sum(v for k, v in by_label.items() if k.startswith("create_")) == 11
+        changed = delta_labels(difference_graph(old, new))
+        assert changed == Counter({k: v for k, v in by_label.items() if k.startswith(CREATE)})
 
     def test_identity_diff_all_preserved(self):
         _, new = fig_pair()
-        dg = difference_graph(new, new)
-        assert all(l.startswith(PRESERVED) for l in labels_of(dg))
+        assert all(l.startswith(PRESERVED) for l in labels_of(difference_graph_oracle(new, new)))
+        assert not delta_labels(difference_graph(new, new))
 
     def test_empty_old_all_created(self):
         _, new = fig_pair()
-        dg = difference_graph(ModelVersion.of([]), new)
-        assert all(l.startswith(CREATE) for l in labels_of(dg))
+        empty = ModelVersion.of([])
+        assert all(l.startswith(CREATE) for l in labels_of(difference_graph_oracle(empty, new)))
+        dg = difference_graph(empty, new)
+        assert dg.deleted == () and not dg.deleted_references
+        assert dg.created == new.elements and dg.created_references == new.reference_set
 
     def test_each_element_exactly_once(self):
         old, new = fig_pair()
+        expected = sorted({u for u, _ in old.elements} | {u for u, _ in new.elements})
+        uids = [uid for _, (uid, _) in difference_graph_oracle(old, new).provenance]
+        assert sorted(uids) == expected
         dg = difference_graph(old, new)
-        uids = [uid for _, (uid, _) in dg.provenance]
-        assert sorted(uids) == sorted({u for u, _ in old.elements} | {u for u, _ in new.elements})
+        uids = list(corresponding(dg)[0]) + [u for u, _ in dg.deleted + dg.created]
+        assert sorted(uids) == expected
 
     def test_retyped_element_split_into_delete_and_create(self):
         old = ModelVersion.of([("a", "Component")])
         new = ModelVersion.of([("a", "Package")])
+        reference = difference_graph_oracle(old, new)
+        assert sorted(labels_of(reference)) == ["create_Package", "delete_Component"]
         dg = difference_graph(old, new)
-        assert sorted(labels_of(dg)) == ["create_Package", "delete_Component"]
+        assert (dg.deleted, dg.created) == ((("a", "Component"),), (("a", "Package"),))
 
 
 class TestSimpleChangeGraph:
@@ -249,9 +296,9 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_self_diff_has_no_changes(self, seed, n):
         m = random_model(random.Random(seed), n)
-        dg = difference_graph(m, m)
-        counts = change_counts(dg)
+        counts = change_counts(difference_graph_oracle(m, m))
         assert counts["created"] == 0 and counts["deleted"] == 0
+        assert not delta_labels(difference_graph(m, m))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -259,8 +306,8 @@ class TestProperties:
         rng = random.Random(seed)
         old = random_model(rng, rng.randint(0, 10))
         new = random_model(rng, rng.randint(0, 10))
-        dg = difference_graph(old, new)
-        scg = simple_change_graph(dg)
+        dg = difference_graph_oracle(old, new)
+        scg = simple_change_graph(difference_graph(old, new))
         dg_changed = {
             l for l in labels_of(dg) if not l.startswith(PRESERVED)
         }
@@ -305,18 +352,19 @@ def random_model_pair(rng: random.Random) -> tuple[ModelVersion, ModelVersion]:
 
 class TestDeltaSimpleChangeGraph:
     def test_matches_restricted_full_graph(self):
-        """On random model pairs, the SCG built from the delta equals the full
-        difference graph, built element by element, restricted to its changed
-        part; the lazily built full graph equals that reference and a checked
-        rebuild of itself; and the components are the union-find oracle's.
+        """On random model pairs, the delta ``difference_graph`` holds is the
+        delete_ and create_ part of the full difference graph, built element
+        by element; the SCG built from the delta equals that graph restricted
+        to its changed part; and the components are the union-find oracle's.
         Each case the delta must handle occurs."""
         seen = Counter()
         for seed in range(400):
             old, new = random_model_pair(random.Random(seed))
             dg = difference_graph(old, new)
             reference = difference_graph_oracle(old, new)
-            graph = LabeledGraph.of(dg.graph.nodes, dg.graph.edges)
-            assert dg.change_graph == reference == ChangeGraph.of(graph, dict(dg.provenance))
+            assert dg.old == old
+            assert (dg.deleted, dg.created, dg.deleted_references,
+                    dg.created_references) == oracle_delta(reference)
             scg = simple_change_graph(dg)
             assert scg == scg_oracle(reference)
             components = change_components(scg)
@@ -329,7 +377,7 @@ class TestDeltaSimpleChangeGraph:
                     [e for e in scg.graph.edges if e[0] in ids],
                 )
                 assert comp == scg.restrict(comp.graph)
-            kept = {uid for uid, origin in reference.provenance_map.values() if origin == "both"}
+            kept = {uid for _, (uid, origin) in reference.provenance if origin == "both"}
             seen["empty"] += not old.elements or not new.elements
             seen["retyped"] += any(new.type_map.get(u, t) != t for u, t in old.elements)
             shared = old.reference_set & new.reference_set
@@ -379,9 +427,11 @@ class TestChangeGraphInvariants:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_restrict_equals_checked_construction(self, seed):
-        """``restrict`` builds the SCGs and components of simulated histories,
+        """``restrict`` builds the components of simulated histories' SCGs,
         forward and reversed (so deletions too), exactly as ``ChangeGraph.of``
-        does from the parent's provenance, and so do induced subgraphs."""
+        does from the parent's provenance; so it does induced subgraphs of the
+        whole difference graph, and the SCG built from the delta is that
+        graph's checked subgraph."""
         from opminer.simgen import SimConfig, default_catalogs, simulate
 
         core, pert = default_catalogs(both_core_rules=True)
@@ -394,12 +444,13 @@ class TestChangeGraphInvariants:
         pairs = list(zip(versions, versions[1:])) + list(zip(versions[1:], versions))
 
         def checked(parent, graph):
-            return ChangeGraph.of(graph, {n: parent.provenance_map[n] for n, _ in graph.nodes})
+            provenance = dict(parent.provenance)
+            return ChangeGraph.of(graph, {n: provenance[n] for n, _ in graph.nodes})
 
         prefixes = set()
         for old, new in pairs:
-            dg = difference_graph(old, new)
-            scg = simple_change_graph(dg)
+            dg = difference_graph_oracle(old, new)
+            scg = simple_change_graph(difference_graph(old, new))
             assert scg == checked(dg, scg.graph)
             components = change_components(scg)
             assert components and all(comp == checked(scg, comp.graph) for comp in components)
