@@ -71,13 +71,20 @@ def _fail(message: str) -> int:
 
 
 def _time_budget(args) -> float:
+    """``OPMINER_TIME_BUDGET_S`` if set, else ``--time-budget``. ``inf`` is no
+    budget; NaN is refused, since no deadline comparison is true against it."""
     env = os.environ.get("OPMINER_TIME_BUDGET_S")
     if env is None:
-        return args.time_budget
-    try:
-        return float(env)
-    except ValueError:
-        raise MinerError(f"OPMINER_TIME_BUDGET_S={env!r} is not a number") from None
+        budget, source = args.time_budget, f"--time-budget {args.time_budget}"
+    else:
+        source = f"OPMINER_TIME_BUDGET_S={env!r}"
+        try:
+            budget = float(env)
+        except ValueError:
+            budget = math.nan
+    if math.isnan(budget):
+        raise MinerError(f"{source} is not a number")
+    return budget
 
 
 # --- document formats -------------------------------------------------------

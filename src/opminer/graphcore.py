@@ -487,11 +487,6 @@ def save_transactions(graphs: Sequence[LabeledGraph], path) -> None:
         fh.write(dumps_transactions(graphs))
 
 
-def load_transactions(path) -> list[LabeledGraph]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_transactions(fh.read())
-
-
 # --- JSON documents ------------------------------------------------------------
 
 _quote = json.encoder.encode_basestring_ascii

@@ -417,10 +417,6 @@ def save_models(files: Iterable[tuple[ModelVersion, object]]) -> None:
             fh.write(text)
 
 
-def save_model(model: ModelVersion, path) -> None:
-    save_models([(model, path)])
-
-
 def load_model(path) -> ModelVersion:
     with open(path, "r", encoding="utf-8") as fh:
         return ModelVersion.from_json(json.load(fh))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
 from .graphcore import LabeledGraph, save_json
@@ -71,10 +70,6 @@ class EditRule:
                     "reference context or deleted nodes only"
                 )
 
-    @cached_property
-    def type_map(self) -> dict[int, str]:
-        return dict(self.context_nodes + self.created_nodes + self.deleted_nodes)
-
     def to_json(self) -> dict:
         def nodes(part):
             return [{"id": n, "type": t} for n, t in part]
@@ -90,26 +85,6 @@ class EditRule:
             "createdEdges": edges(self.created_edges),
             "deletedEdges": edges(self.deleted_edges),
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EditRule":
-        def nodes(key):
-            return tuple((e["id"], e["type"]) for e in doc.get(key, []))
-
-        def edges(key):
-            return tuple((e["src"], e["tgt"], e["type"]) for e in doc.get(key, []))
-
-        try:
-            return cls(
-                name=doc["name"],
-                context_nodes=nodes("contextNodes"),
-                created_nodes=nodes("createdNodes"),
-                deleted_nodes=nodes("deletedNodes"),
-                created_edges=edges("createdEdges"),
-                deleted_edges=edges("deletedEdges"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise RuleError(f"invalid rule document: {exc}") from exc
 
 
 def save_rule(rule: EditRule, path) -> None:

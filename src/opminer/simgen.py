@@ -1,31 +1,30 @@
 """Synthetic model histories: seeded initial instance, rule applications,
-overlapping perturbations, and replayable bundles.
+overlapping perturbations, and bundle files.
 
 A simulation config fixes d revisions of e core-rule applications each; every
 application is independently followed, with probability p, by one
 perturbation rule applied at a site sharing at least one element with it.
-Bundles carry the versions, a replayable application log, and the ground
-truth patterns of the core rules.
+Bundles carry the versions, the application log, and the ground truth
+patterns of the core rules. ``save_bundle`` writes a bundle as files; this
+package reads none back. ``replay`` re-applies the log of an in-memory bundle.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
 
-from .graphcore import LabeledGraph, load_transactions, save_json, save_transactions
+from .graphcore import LabeledGraph, save_json, save_transactions
 from .modeldiff import (
     EdgeType,
     MetaModel,
     ModelError,
     ModelVersion,
     WorkingModel,
-    load_model,
     save_models,
 )
 from .rulegen import (
@@ -284,20 +283,6 @@ class SimConfig:
             "coreWeights": list(self.core_weights) if self.core_weights else None,
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "SimConfig":
-        return cls(
-            d=doc["d"],
-            e=doc["e"],
-            p=doc["p"],
-            seed=doc["seed"],
-            core_rules=tuple(EditRule.from_json(r) for r in doc["coreRules"]),
-            perturbations=tuple(EditRule.from_json(r) for r in doc["perturbations"]),
-            metamodel=MetaModel.from_json(doc["metamodel"]),
-            initial_counts=doc["initialCounts"],
-            core_weights=tuple(doc["coreWeights"]) if doc.get("coreWeights") else None,
-        )
-
 
 @dataclass(frozen=True)
 class LoggedApplication:
@@ -326,26 +311,6 @@ class LoggedApplication:
             "perturbation": rec(self.perturbation),
             "skippedPerturbation": self.skipped_perturbation,
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "LoggedApplication":
-        def rec(d):
-            if d is None:
-                return None
-            return ApplicationRecord(
-                rule=d["rule"],
-                seed=d["seed"],
-                binding=tuple(sorted((int(k), v) for k, v in d["binding"].items())),
-                created=tuple(sorted((int(k), v) for k, v in d["created"].items())),
-                deleted=tuple(d["deleted"]),
-            )
-
-        return cls(
-            record=rec(doc["application"]),
-            perturbed=doc["perturbed"],
-            perturbation=rec(doc.get("perturbation")),
-            skipped_perturbation=doc.get("skippedPerturbation", False),
-        )
 
 
 @dataclass
@@ -496,25 +461,3 @@ def save_bundle(bundle: RepoBundle, out_dir) -> None:
     truth_dir.mkdir(exist_ok=True)
     for name in sorted(bundle.truth):
         save_transactions([bundle.truth[name]], truth_dir / f"{name}.txt")
-
-
-def load_bundle(in_dir) -> RepoBundle:
-    src = Path(in_dir)
-    with open(src / "config.json", "r", encoding="utf-8") as fh:
-        config = SimConfig.from_json(json.load(fh))
-    versions = [load_model(src / f"m{i}.json") for i in range(config.d + 1)]
-    with open(src / "log.json", "r", encoding="utf-8") as fh:
-        log_doc = json.load(fh)
-    logs = [
-        [LoggedApplication.from_json(e) for e in rev] for rev in log_doc["revisions"]
-    ]
-    truth = {}
-    for path in sorted((src / "truth").glob("*.txt")):
-        truth[path.stem] = load_transactions(path)[0]
-    return RepoBundle(
-        config,
-        versions,
-        logs,
-        truth,
-        skipped_applications=log_doc.get("skippedApplications", 0),
-    )

@@ -107,13 +107,11 @@ def test_criterion_3_miner_oracle_equivalence():
             random_connected_graph(rng, rng.randint(1, 6), rng.randint(2, 4))
             for _ in range(rng.randint(2, 8))
         ]
-        classes = frequent_patterns_oracle(txns, 1)
+        coded = sorted((canonical_code(g).text, s) for g, s in frequent_patterns_oracle(txns, 1))
         db = TransactionDB.of(txns)
         for threshold in range(1, len(txns) + 1):
             checked += 1
-            expected = sorted(
-                (canonical_code(g).text, s) for g, s in classes if s >= threshold
-            )
+            expected = [(code, s) for code, s in coded if s >= threshold]
             got = sorted((p.code.text, p.support) for p in mine(db, threshold))
             if got != expected:
                 discrepancies += 1

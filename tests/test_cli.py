@@ -16,7 +16,7 @@ from opminer.cli import BUDGET_EXCEEDED, OK, main, patterns_to_doc
 from opminer.evalharness import bundle_to_db
 from opminer.graphcore import dumps_transactions, loads_transactions
 from opminer.miner import _link as link
-from opminer.modeldiff import save_model
+from opminer.modeldiff import save_models
 from opminer.ranker import prune
 from opminer.simgen import SimConfig, default_catalogs, simulate
 from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
@@ -27,8 +27,7 @@ from oracles import random_connected_graph
 def fig_files(tmp_path):
     old, new = fig_pair()
     old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-    save_model(old, old_path)
-    save_model(new, new_path)
+    save_models([(old, old_path), (new, new_path)])
     mm_path = tmp_path / "mm.json"
     mm_path.write_text(json.dumps(FIXTURE_METAMODEL.to_json()), encoding="utf-8")
     return old_path, new_path, mm_path
@@ -192,6 +191,9 @@ MINE_EXIT_CODES = [
     ("malformed transaction", "t # 0\nv 0\n", {}, [], 2),
     ("disconnected transaction", "t # 0\nv 0 a\nv 1 b\n", {}, [], 2),
     ("non-numeric budget", "scg", {"OPMINER_TIME_BUDGET_S": "abc"}, [], 2),
+    ("budget not a number", "scg", {"OPMINER_TIME_BUDGET_S": "nan"}, ["--threshold", "3"], 2),
+    ("budget flag not a number", "scg", {}, ["--threshold", "3", "--time-budget", "nan"], 2),
+    ("infinite budget", "scg", {"OPMINER_TIME_BUDGET_S": "inf"}, ["--threshold", "3"], 0),
     ("two threshold modes", "scg", {}, ["--calibrate", "--threshold", "3"], 2),
     ("threshold not a number", "scg", {}, ["--threshold", "nan"], 2),
     ("infinite threshold", "scg", {}, ["--threshold", "inf"], 2),
@@ -827,9 +829,9 @@ class TestStageHandoffMatchesRunGrid:
         doc = json.loads(ranked_path.read_text())
 
         from opminer.graphcore import canonical_code, loads_transactions
-        from opminer.simgen import load_bundle
 
-        truth = load_bundle(bundle_dir).truth["add_component_interface"]
+        truth_file = bundle_dir / "truth" / "add_component_interface.txt"
+        (truth,) = loads_transactions(truth_file.read_text(encoding="utf-8"))
         truth_code = canonical_code(truth).text
         rank_of_truth = None
         for item in doc["items"]:

@@ -18,7 +18,6 @@ from opminer.modeldiff import (
     change_components,
     change_counts,
     difference_graph,
-    save_model,
     save_models,
     simple_change_graph,
     split_prefix,
@@ -154,7 +153,7 @@ class TestSaveModels:
         for i, version in enumerate(versions):
             expected = stdlib_json(version.to_json())
             assert (out / f"m{i}.json").read_bytes() == expected
-            save_model(version, out / "alone.json")
+            save_models([(version, out / "alone.json")])
             assert (out / "alone.json").read_bytes() == expected
 
 

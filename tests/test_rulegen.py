@@ -71,8 +71,28 @@ class TestEditRule:
             )
 
     def test_json_round_trip(self):
-        rule = fig_rule()
-        assert EditRule.from_json(rule.to_json()) == rule
+        """The rule document holds every part of the rule, in its order."""
+        assert fig_rule().to_json() == {
+            "name": "connect_components",
+            "contextNodes": [{"id": 0, "type": "Component"}, {"id": 1, "type": "Component"}],
+            "createdNodes": [
+                {"id": 2, "type": "Port"},
+                {"id": 3, "type": "Port"},
+                {"id": 4, "type": "Connector"},
+                {"id": 5, "type": "Requirement"},
+            ],
+            "deletedNodes": [],
+            "createdEdges": [
+                {"src": 0, "tgt": 2, "type": "port"},
+                {"src": 1, "tgt": 3, "type": "port"},
+                {"src": 4, "tgt": 2, "type": "end"},
+                {"src": 4, "tgt": 3, "type": "end"},
+                {"src": 4, "tgt": 0, "type": "part"},
+                {"src": 4, "tgt": 1, "type": "part"},
+                {"src": 5, "tgt": 4, "type": "satisfies"},
+            ],
+            "deletedEdges": [],
+        }
 
 
 class TestPatternToRule:

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from opminer.graphcore import canonical_code, connected_components
-from opminer.modeldiff import difference_graph, simple_change_graph
+from opminer.graphcore import canonical_code, connected_components, loads_transactions
+from opminer.modeldiff import difference_graph, load_model, simple_change_graph
 from opminer.rulegen import ConformanceError, EditRule, RuleError, rule_to_pattern_graph
 from opminer.simgen import (
     DEFAULT_INSTANCE_COUNTS,
@@ -18,7 +18,6 @@ from opminer.simgen import (
     core_rule_interface,
     default_catalogs,
     default_metamodel,
-    load_bundle,
     perturbation_rules,
     replay,
     save_bundle,
@@ -210,13 +209,21 @@ class TestSimulate:
 
 class TestBundleIO:
     def test_save_load_round_trip(self, tmp_path):
+        """Every file of a saved bundle reads back as what was saved."""
         bundle = simulate(small_config(d=2, e=2, p=0.5, seed=17))
-        save_bundle(bundle, tmp_path / "b")
-        loaded = load_bundle(tmp_path / "b")
-        assert loaded.versions == bundle.versions
-        assert loaded.truth == bundle.truth
-        assert loaded.config.to_json() == bundle.config.to_json()
-        assert replay(loaded) == bundle.versions
+        out = tmp_path / "b"
+        save_bundle(bundle, out)
+        for i, version in enumerate(bundle.versions):
+            assert load_model(out / f"m{i}.json") == version
+        truth = {}
+        for path in (out / "truth").glob("*.txt"):
+            (truth[path.stem],) = loads_transactions(path.read_text(encoding="utf-8"))
+        assert truth == bundle.truth
+        assert json.loads((out / "config.json").read_text()) == bundle.config.to_json()
+        assert json.loads((out / "log.json").read_text()) == {
+            "skippedApplications": bundle.skipped_applications,
+            "revisions": [[entry.to_json() for entry in rev] for rev in bundle.logs],
+        }
 
     def test_bundle_layout(self, tmp_path):
         bundle = simulate(small_config(d=2, e=1, p=0.0, seed=19))
