@@ -310,11 +310,14 @@ def cmd_rules(args) -> int:
     except OSError as exc:
         return _fail(str(exc))
     failures = 0
+    written: set[int] = set()  # a rule file is named by its rank, so a rank is written once
     for i, entry in enumerate(entries):
         rank_no = entry.get("rank", i + 1) if isinstance(entry, dict) else i + 1
         try:
             if type(rank_no) is not int:
                 raise DocumentError(f"rank {rank_no!r} is not an integer")
+            if rank_no < 1 or rank_no in written:
+                raise DocumentError("rank below 1" if rank_no < 1 else "rank already written")
             graph = _entry_graph(entry, f"entry {i}")
             rule = pattern_to_rule(graph, name=f"rule_{rank_no:04d}")
         except (DocumentError, RuleError, GraphError) as exc:
@@ -327,7 +330,8 @@ def cmd_rules(args) -> int:
                 (out_dir / f"rule_{rank_no:04d}.dot").write_text(to_dot(rule), encoding="utf-8")
         except OSError as exc:
             return _fail(str(exc))
-    print(f"rules: {len(entries) - failures} written, {failures} skipped")
+        written.add(rank_no)
+    print(f"rules: {len(written)} written, {failures} skipped")
     return PARTIAL if failures else OK
 
 

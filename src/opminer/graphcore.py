@@ -23,6 +23,19 @@ class GraphError(ValueError):
     """Malformed graph data or graph file."""
 
 
+def incidence(g: LabeledGraph) -> dict[int, tuple[tuple[int, int, str, str], ...]]:
+    """Per node: (other endpoint, direction flag (0 out, 1 in), edge label,
+    other endpoint's label), sorted. ``LabeledGraph.incident`` caches it, for
+    the transactions every growth step scans; ``canonical_code`` builds it for
+    the call, so the pattern graphs and cache keys it codes hold none."""
+    labels = dict(g.nodes)
+    inc: dict[int, list[tuple[int, int, str, str]]] = {nid: [] for nid, _ in g.nodes}
+    for src, dst, label in g.edges:
+        inc[src].append((dst, 0, label, labels[dst]))
+        inc[dst].append((src, 1, label, labels[src]))
+    return {nid: tuple(sorted(items)) for nid, items in inc.items()}
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Immutable directed graph with string labels on nodes and edges.
@@ -81,19 +94,7 @@ class LabeledGraph:
     def edge_set(self) -> frozenset[tuple[int, int, str]]:
         return frozenset(self.edges)
 
-    @cached_property
-    def incident(self) -> dict[int, tuple[tuple[int, int, str, str], ...]]:
-        """Per node: (other endpoint, direction flag, edge label, other endpoint's
-        label) in both directions.
-
-        Direction flag 0 means the edge leaves this node, 1 means it enters.
-        """
-        labels = self.label_map
-        inc: dict[int, list[tuple[int, int, str, str]]] = {nid: [] for nid, _ in self.nodes}
-        for src, dst, label in self.edges:
-            inc[src].append((dst, 0, label, labels[dst]))
-            inc[dst].append((src, 1, label, labels[src]))
-        return {nid: tuple(sorted(items)) for nid, items in inc.items()}
+    incident = cached_property(incidence)  # kept: transactions are scanned at every growth step
 
     @property
     def n_nodes(self) -> int:
@@ -312,7 +313,8 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     So the kept embeddings end with every edge covered, and each step's
     smallest entry is the next entry of the minimal code. On a connected
     graph they then cover every node, and on a disconnected one they cannot:
-    the walk ends short of ``g.n_nodes`` exactly when g is disconnected.
+    the walk ends short of ``g.n_nodes`` exactly when g is disconnected. Its
+    incidence map is local, so g, a key of this cache, is left unchanged.
     """
     if g.n_nodes == 0:
         raise GraphError("canonical code of the empty graph is undefined")
@@ -320,8 +322,9 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     entries: tuple[CodeEntry, ...] = ()
     rmpath: tuple[int, ...] = (0,)
     embeddings = [(v,) for v, label in g.nodes if label == root_label]
+    incident = incidence(g)
     while True:
-        table = rightmost_extensions(root_label, entries, rmpath)(g.incident, embeddings)
+        table = rightmost_extensions(root_label, entries, rmpath)(incident, embeddings)
         if not table:
             if len(embeddings[0]) < g.n_nodes:
                 raise GraphError("canonical_code requires a connected graph")

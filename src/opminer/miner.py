@@ -87,7 +87,7 @@ class TransactionDB:
         """
         buckets: dict[tuple, list[int]] = {}
         for tid, txn in enumerate(self.transactions):
-            labels = txn.label_map
+            labels = dict(txn.nodes)
             key = (
                 tuple(sorted(labels.values())),
                 tuple(sorted((labels[s], el, labels[d]) for s, d, el in txn.edges)),
@@ -256,12 +256,13 @@ def _closed(
     An extension in ``ext`` that reaches every transaction settles it at
     once. Otherwise the keys of the smallest projection are intersected with
     those of each further one, until none is left; the last one need only
-    show a single key.
+    show a single key. The pattern's edge set is built for the call, not
+    cached on its graph.
     """
     graph, _, _, projections = node
     if any(len(found) == len(projections) for found in ext.values()):
         return False
-    held = graph.edge_set
+    held = frozenset(graph.edges)
     candidates: set[tuple] | None = None
     positions: range | set[int] = range(graph.n_nodes)
     order = sorted(projections, key=lambda t: len(projections[t]))

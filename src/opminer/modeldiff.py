@@ -114,7 +114,8 @@ class ModelVersion:
     elements and occurs once, then sorts both; ``from_json`` and
     ``load_model`` build through ``of``. The constructor trusts its caller to
     pass sorted tuples that pass those checks, as ``WorkingModel.snapshot``
-    does.
+    does. It caches only ``type_map``, for ``validate_against``;
+    ``difference_graph`` builds the reference sets it compares for the call.
     """
 
     elements: tuple[tuple[str, str], ...]
@@ -161,10 +162,6 @@ class ModelVersion:
     @cached_property
     def type_map(self) -> dict[str, str]:
         return dict(self.elements)
-
-    @cached_property
-    def reference_set(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self.references)
 
     def validate_against(self, metamodel: MetaModel) -> None:
         """Raise ModelError unless types conform and containment forms a forest."""
@@ -502,19 +499,20 @@ def difference_graph(old: ModelVersion, new: ModelVersion) -> DifferenceGraph:
     Corresponding elements appear once; every element of either version
     appears exactly once. Node ids follow the rule of ``DifferenceGraph``.
     Only what changed is found here, by set differences of the two versions'
-    elements and references; a reference of both versions with a retyped end
-    is deleted and re-created with it.
+    elements and references, built for the call and not kept on either
+    version; a reference of both versions with a retyped end is deleted and
+    re-created with it.
     """
     old_elements, new_elements = frozenset(old.elements), frozenset(new.elements)
     deleted = tuple(sorted(old_elements - new_elements))
     created = tuple(sorted(new_elements - old_elements))
-    deleted_references = old.reference_set - new.reference_set
-    created_references = new.reference_set - old.reference_set
+    old_refs, new_refs = frozenset(old.references), frozenset(new.references)
+    deleted_references = old_refs - new_refs
+    created_references = new_refs - old_refs
     retyped = {uid for uid, _ in deleted}.intersection(uid for uid, _ in created)
     if retyped:
         moved = frozenset(
-            ref for ref in old.reference_set & new.reference_set
-            if ref[0] in retyped or ref[1] in retyped
+            ref for ref in old_refs & new_refs if ref[0] in retyped or ref[1] in retyped
         )
         deleted_references |= moved
         created_references |= moved
@@ -572,10 +570,7 @@ def change_components(cg: ChangeGraph) -> list[ChangeGraph]:
 def change_counts(cg: ChangeGraph) -> dict[str, int]:
     """Created/deleted/preserved element counts (nodes and edges together)."""
     counts = {"created": 0, "deleted": 0, "preserved": 0}
-    for _, label in cg.graph.nodes:
-        prefix, _ = split_prefix(label)
-        counts[{PRESERVED: "preserved", CREATE: "created", DELETE: "deleted"}[prefix]] += 1
-    for _, _, label in cg.graph.edges:
+    for *_, label in cg.graph.nodes + cg.graph.edges:
         prefix, _ = split_prefix(label)
         counts[{PRESERVED: "preserved", CREATE: "created", DELETE: "deleted"}[prefix]] += 1
     return counts

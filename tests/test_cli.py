@@ -395,6 +395,9 @@ RULES_EXIT_CODES = [
      "rules", 1),
     ("unprefixed label", {"items": [{"rank": 1, "graph": "t # 0\nv 0 Port\n"}, GOOD_ITEM]},
      "rules", 1),
+    ("repeated rank", {"items": [GOOD_ITEM, GOOD_ITEM]}, "rules", 1),
+    ("rank 0", {"items": [{"rank": 0, "graph": PORT}, GOOD_ITEM]}, "rules", 1),
+    ("negative rank", {"items": [{"rank": -3, "graph": PORT}, GOOD_ITEM]}, "rules", 1),
     ("output is a file", {"items": [GOOD_ITEM]}, "file", 2),
     ("rule file is a directory", {"items": [GOOD_ITEM]}, "blocked", 2),
 ]
@@ -416,6 +419,8 @@ def test_rules_exit_codes(tmp_path, doc, out, expected):
     else:
         assert (out_dir / "rule_0002.json").exists()
         assert ("warning: pattern at rank" in proc.stderr) is (expected == 1)
+    if expected == 1:  # the skipped entries leave no rule file, nor overwrite one
+        assert [p.name for p in out_dir.iterdir()] == ["rule_0002.json"]
 
 
 def run_opminer(*args):

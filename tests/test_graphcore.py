@@ -158,6 +158,14 @@ class TestCanonicalCode:
             with pytest.raises(GraphError):
                 canonical_code(g)
 
+    def test_leaves_the_graph_unchanged(self):
+        # labels no other test uses, so the cache cannot already hold the graph
+        g = g_of([(0, "fresh_A"), (1, "fresh_B"), (2, "fresh_A")],
+                 [(0, 1, "x"), (1, 2, "y"), (2, 0, "z")])
+        before = dict(vars(g))
+        canonical_code(g)
+        assert vars(g) == before  # no incidence or label map left behind
+
     def test_antiparallel_pair(self):
         g = g_of([(0, "A"), (1, "A")], [(0, 1, "x"), (1, 0, "x")])
         h = relabel_ids(g, {0: 3, 1: 2})

@@ -373,6 +373,23 @@ def test_golden_pattern_documents(case):
     assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
 
 
+def test_only_transactions_keep_derived_indexes():
+    """Growth scans the transactions' cached incidence maps; the mined
+    pattern graphs, which live as long as the result, keep no index."""
+    from opminer.evalharness import bundle_to_db
+    from opminer.simgen import SimConfig, default_catalogs, simulate
+
+    core, pert = default_catalogs()
+    db = bundle_to_db(
+        simulate(SimConfig(d=4, e=6, p=0.2, seed=7, core_rules=core, perturbations=pert))
+    )
+    patterns = mine(db, calibrate_threshold(db))
+    assert any(p.graph.n_edges > 1 for p in patterns)
+    for p in patterns:
+        assert not {"incident", "label_map", "edge_set"} & vars(p.graph).keys(), p.code.text
+    assert all("incident" in vars(db.transactions[tid]) for tid in db.multiplicity)
+
+
 class TestBudgetAndCaps:
     def test_budget_exceeded_carries_partials(self):
         rng = random.Random(3)

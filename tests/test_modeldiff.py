@@ -43,7 +43,7 @@ def corresponding(dg):
     version's, less the deleted ones."""
     gone = {uid for uid, _ in dg.deleted}
     uids = {uid for uid, _ in dg.old.elements if uid not in gone}
-    return uids, dg.old.reference_set - dg.deleted_references
+    return uids, frozenset(dg.old.references) - dg.deleted_references
 
 
 def delta_labels(dg):
@@ -214,7 +214,14 @@ class TestDifferenceGraph:
         assert all(l.startswith(CREATE) for l in labels_of(difference_graph_oracle(empty, new)))
         dg = difference_graph(empty, new)
         assert dg.deleted == () and not dg.deleted_references
-        assert dg.created == new.elements and dg.created_references == new.reference_set
+        assert dg.created == new.elements and dg.created_references == frozenset(new.references)
+
+    def test_leaves_the_versions_unchanged(self):
+        # the reference sets a diff compares are built for the call
+        old, new = fig_pair()
+        before = dict(vars(old)), dict(vars(new))
+        difference_graph(old, new)
+        assert (vars(old), vars(new)) == before
 
     def test_each_element_exactly_once(self):
         old, new = fig_pair()
@@ -379,9 +386,9 @@ class TestDeltaSimpleChangeGraph:
             kept = {uid for _, (uid, origin) in reference.provenance if origin == "both"}
             seen["empty"] += not old.elements or not new.elements
             seen["retyped"] += any(new.type_map.get(u, t) != t for u, t in old.elements)
-            shared = old.reference_set & new.reference_set
+            shared = frozenset(old.references) & frozenset(new.references)
             seen["retyped end"] += any(not {r[0], r[1]} <= kept for r in shared)
-            changed = old.reference_set ^ new.reference_set
+            changed = frozenset(old.references) ^ frozenset(new.references)
             seen["preserved ends"] += any({r[0], r[1]} <= kept for r in changed)
         cases = ("empty", "retyped", "retyped end", "preserved ends")
         assert all(seen[case] >= 10 for case in cases), seen
@@ -559,7 +566,7 @@ class TestWorkingModel:
             for step in range(20):
                 gone, cut, added, new_refs = random_delta(rng, model, step)
                 try:
-                    if not (gone <= set(model.type_map) and cut <= model.reference_set):
+                    if not (gone <= set(model.type_map) and cut <= frozenset(model.references)):
                         raise ModelError("removes what is absent")
                     expected = ModelVersion.of(
                         [e for e in model.elements if e[0] not in gone] + added,
