@@ -212,19 +212,24 @@ def _load_db(inputs: list[str]) -> TransactionDB:
     return TransactionDB.of(graphs, tags)
 
 
-def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[int, str]:
+def _check_threshold_flags(args) -> None:
+    """Refuse flags that name no valid threshold, before any input is read."""
     if args.calibrate and args.threshold is not None:
         raise RankError("choose either --calibrate or --threshold, not both")
-    if args.calibrate or args.threshold is None:
+    if args.relative:
+        if args.threshold is None or not 0 < args.threshold <= 1:
+            raise RankError("--relative needs a --threshold in (0, 1]")
+    elif args.threshold is not None and not (args.threshold.is_integer() and args.threshold >= 1):
+        raise RankError("absolute threshold must be a positive integer")
+
+
+def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[int, str]:
+    if args.threshold is None:
         t = calibrate_threshold(db, CalibrationConfig(time_budget_s=time_budget_s))
         return t, f"threshold: {t} (calibrated)"
     if args.relative:
-        if not 0 < args.threshold <= 1:
-            raise RankError("relative threshold must lie in (0, 1]")
         t = max(1, math.ceil(args.threshold * len(db)))
         return t, f"threshold: {t} (relative {args.threshold} of {len(db)})"
-    if not args.threshold.is_integer() or args.threshold < 1:
-        raise RankError("absolute threshold must be a positive integer")
     t = int(args.threshold)
     return t, f"threshold: {t} (fixed)"
 
@@ -232,6 +237,7 @@ def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[i
 def cmd_mine(args) -> int:
     try:
         time_budget_s = _time_budget(args)
+        _check_threshold_flags(args)
         db = _load_db(args.inputs)
         if len(db) == 0:
             save_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)

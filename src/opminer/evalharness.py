@@ -323,6 +323,8 @@ def _run_cell(args: tuple) -> tuple[tuple, list[dict], str | None]:
         return key, rows, None
     except Exception as exc:  # per-cell failures never abort the grid
         return key, [], f"{type(exc).__name__}: {exc}"
+    finally:  # the cell's pattern graphs leave the cache with it, in any process
+        canonical_code.cache_clear()
 
 
 @dataclass

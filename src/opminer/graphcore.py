@@ -7,8 +7,8 @@ rules), a canonical form for connected graphs (the minimal DFS code, with an
 explicit direction flag per code entry, grown greedily by that same step),
 label- and direction-preserving subgraph embedding search, the
 line-based transaction file format shared by the mining pipeline, and
-``save_json``, the one writer of every JSON document the program saves
-except model files, which ``modeldiff.save_models`` writes.
+``save_json``: ``json.dump`` in the one layout of every JSON document the
+program saves, which ``modeldiff.save_models`` builds by hand for models.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class GraphError(ValueError):
 def incidence(g: LabeledGraph) -> dict[int, tuple[tuple[int, int, str, str], ...]]:
     """Per node: (other endpoint, direction flag (0 out, 1 in), edge label,
     other endpoint's label), sorted. ``LabeledGraph.incident`` caches it, for
-    the transactions every growth step scans; ``canonical_code`` builds it for
-    the call, so the pattern graphs and cache keys it codes hold none."""
+    the transactions every growth step scans. ``canonical_code`` and lattice
+    links build it for the call, so no pattern graph or cache key holds one."""
     labels = dict(g.nodes)
     inc: dict[int, list[tuple[int, int, str, str]]] = {nid: [] for nid, _ in g.nodes}
     for src, dst, label in g.edges:
@@ -147,16 +147,16 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     return [LabeledGraph(tuple(n), tuple(e)) for n, e in zip(nodes, edges)]
 
 
-def is_connected(g: LabeledGraph, without: tuple[int, int, str] | None = None) -> bool:
-    """Whether g, less the edge ``without``, is non-empty and weakly connected."""
+def is_connected(g: LabeledGraph) -> bool:
+    """Whether g is non-empty and weakly connected."""
     if not g.nodes:
         return False
     seen = {g.nodes[0][0]}
     stack = list(seen)
     while stack:
         v = stack.pop()
-        for w, dflag, label, _ in g.incident[v]:
-            if w not in seen and ((v, w, label) if dflag == 0 else (w, v, label)) != without:
+        for w, *_ in g.incident[v]:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(g.nodes)
@@ -492,72 +492,10 @@ def save_transactions(graphs: Sequence[LabeledGraph], path) -> None:
 
 # --- JSON documents ------------------------------------------------------------
 
-_quote = json.encoder.encode_basestring_ascii
-_CHUNK = 2048  # encoded pieces held before they are written
-
 
 def save_json(doc, path) -> None:
-    """Write ``doc`` to ``path`` as ``json.dumps(doc, indent=2, sort_keys=True)``
-    and a newline, byte for byte. Model files, the one exception, are written
-    in the same bytes by ``modeldiff.save_models``.
-
-    With ``indent`` set, ``json.dump`` falls back to the stdlib's pure-Python
-    encoder and writes every token it yields on its own. This writer walks
-    the document once, encodes strings with the C ``encode_basestring_ascii``
-    (the stdlib default is ``ensure_ascii=True``) and every other scalar with
-    ``json.dumps``, and writes the pieces out whenever a list item leaves more
-    than ``_CHUNK`` of them, so a file of long lists is never held as one
-    string. It raises ``TypeError`` where ``json.dump`` does; a circular
-    document, which ``json.dump`` reports as ``ValueError``, ends in
-    ``RecursionError``.
-    """
+    """Write ``doc`` to ``path`` as ``json.dump(doc, indent=2, sort_keys=True)``
+    and a newline, so equal documents give equal files."""
     with open(path, "w", encoding="utf-8") as fh:
-        parts: list[str] = []
-        _encode(doc, "\n", parts, fh)
-        parts.append("\n")
-        fh.write("".join(parts))
-
-
-def _encode(o, newline: str, parts: list[str], fh) -> None:
-    """Append the encoding of ``o``, whose lines after the first start with
-    ``newline``, to ``parts``; write and clear ``parts`` once it grows long."""
-    if isinstance(o, str):
-        parts.append(_quote(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
-            parts.append(sep)
-            _encode(item, inner, parts, fh)
-            sep = "," + inner
-            if len(parts) > _CHUNK:
-                fh.write("".join(parts))
-                parts.clear()
-        parts.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            key = _quote(key if isinstance(key, str) else _key(key))
-            if type(value) is str:
-                parts.append(f"{sep}{key}: {_quote(value)}")
-            else:
-                parts.append(f"{sep}{key}: ")
-                _encode(value, inner, parts, fh)
-            sep = "," + inner
-        parts.append(newline + "}")
-    else:
-        parts.append(json.dumps(o))
-
-
-def _key(key) -> str:
-    """A non-string dict key as ``json.dumps`` writes it, before quoting."""
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

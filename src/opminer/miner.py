@@ -27,6 +27,7 @@ from .graphcore import (
     CodeEntry,
     LabeledGraph,
     canonical_code,
+    incidence,
     is_connected,
     rightmost_extensions,
     rightmost_path,
@@ -332,12 +333,14 @@ def _direct_subgraphs(g: LabeledGraph) -> list[LabeledGraph]:
     parallel and antiparallel edges never form a bridge. Node ids are
     renumbered 0..n-1 in order, the way pattern graphs number their nodes, so
     a subgraph the growth has built compares equal to that pattern's graph.
+    Both tests read incidence maps built for the call, so ``g`` caches none.
     """
+    incident = incidence(g)
     out = []
     for drop in g.edges:
         rest = tuple(e for e in g.edges if e != drop)
-        leaves = [v for v in drop[:2] if len(g.incident[v]) == 1]
-        if not leaves and is_connected(g, without=drop):
+        leaves = [v for v in drop[:2] if len(incident[v]) == 1]
+        if not leaves and is_connected(LabeledGraph(g.nodes, rest)):
             leaves = [None]  # not a bridge: every node stays
         for leaf in leaves:
             nodes = [n for n in g.nodes if n[0] != leaf]

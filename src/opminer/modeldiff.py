@@ -393,13 +393,13 @@ def save_models(files: Iterable[tuple[ModelVersion, object]]) -> None:
     """Write each ``(model, path)`` of ``files`` as ``json.dumps(model.to_json(),
     indent=2, sort_keys=True)`` and a newline, byte for byte.
 
-    Every file is two blocks of lines from two fixed templates, so this
-    writer, not ``graphcore.save_json``, owns the model layout. Every field
-    of a model is a string (``ModelVersion.of`` checks it), so each is quoted
-    with the C ``encode_basestring_ascii``, as ``json.dumps`` quotes it under
-    its default ``ensure_ascii=True``. Each element or reference is encoded
-    once per call: successive versions of one history share most of them.
-    The encoded lines live only as long as the call.
+    The program's one hand-built JSON writer: ``json.dump`` (``save_json``)
+    encodes token by token in Python under ``indent``, over ten times slower
+    on a bundle. Each file is two blocks of lines from two fixed templates.
+    Every model field is a string (``ModelVersion.of`` checks it), quoted by
+    the C ``encode_basestring_ascii`` as ``json.dumps`` quotes it by default.
+    Each element or reference is encoded once per call, since the versions of
+    one history share most of them; the lines live only as long as the call.
     """
     elements, references = _Lines(_element_line), _Lines(_reference_line)
     for model, path in files:

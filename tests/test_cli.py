@@ -199,6 +199,11 @@ MINE_EXIT_CODES = [
     ("infinite threshold", "scg", {}, ["--threshold", "inf"], 2),
     ("threshold beyond float range", "scg", {}, ["--threshold", "1e400"], 2),
     ("relative threshold not a number", "scg", {}, ["--relative", "--threshold", "nan"], 2),
+    ("relative without a threshold", "scg", {}, ["--relative"], 2),
+    ("empty input, threshold zero", "", {}, ["--threshold", "0"], 2),
+    ("empty input, threshold not a number", "", {}, ["--threshold", "nan"], 2),
+    ("empty input, two threshold modes", "", {}, ["--calibrate", "--threshold", "3"], 2),
+    ("empty input, relative without a threshold", "", {}, ["--relative"], 2),
     ("budget out while mining", "scg", {"OPMINER_TIME_BUDGET_S": "0"},
      ["--threshold", "3"], 3),
     ("budget out while calibrating", "scg", {"OPMINER_TIME_BUDGET_S": "0"}, [], 3),

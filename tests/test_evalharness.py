@@ -218,6 +218,16 @@ class TestPipeline:
         again = GridResult(back, {}).map_table()
         assert again["compression"]["MAP@1"] == 1.0
 
+    def test_run_grid_leaves_canonical_code_cache_empty(self):
+        """Each cell's pattern graphs leave the cache when the cell ends."""
+        spec = GridSpec(
+            d_values=(2,), e_values=(1,), p_values=(0.0,), seeds=(1, 2),
+            threshold=ThresholdSpec("fixed", 2), initial_counts=tiny_counts(),
+        )
+        result = run_grid(spec)
+        assert not result.errors and result.rows
+        assert canonical_code.cache_info().currsize == 0
+
     def test_grid_spec_json_round_trip(self):
         spec = GridSpec(
             d_values=(2, 3), e_values=(1,), p_values=(0.0, 0.5), seeds=(1,),

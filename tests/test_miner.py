@@ -390,6 +390,21 @@ def test_only_transactions_keep_derived_indexes():
     assert all("incident" in vars(db.transactions[tid]) for tid in db.multiplicity)
 
 
+def test_reading_links_leaves_pattern_graphs_without_indexes():
+    """The lattice's bridge test reads incidence maps built for the call, so
+    reading links caches none on the pattern graphs."""
+    from opminer.evalharness import bundle_to_db
+    from opminer.simgen import SimConfig, default_catalogs, simulate
+
+    core, pert = default_catalogs()
+    db = bundle_to_db(
+        simulate(SimConfig(d=4, e=6, p=0.2, seed=7, core_rules=core, perturbations=pert))
+    )
+    patterns = mine(db, calibrate_threshold(db))
+    assert sum(len(p.parents) for p in patterns) > 0
+    assert not [p.code.text for p in patterns if "incident" in vars(p.graph)]
+
+
 class TestBudgetAndCaps:
     def test_budget_exceeded_carries_partials(self):
         rng = random.Random(3)
