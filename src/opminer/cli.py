@@ -63,6 +63,7 @@ from .simgen import (
 )
 
 OK, PARTIAL, INPUT_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # a bad input file
 
 
 def _fail(message: str) -> int:
@@ -180,7 +181,7 @@ def cmd_diff(args) -> int:
         text = dumps_transactions([c.graph for c in components])
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except (ModelError, GraphError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, GraphError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     counts = change_counts(scg)
     print(f"components: {len(components)}")
@@ -247,7 +248,7 @@ def cmd_mine(args) -> int:
             print("patterns: 0")
             return OK
         threshold, header = _resolve_threshold(args, db, time_budget_s)
-    except (GraphError, MinerError, RankError, OSError) as exc:
+    except (GraphError, MinerError, RankError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     except MiningBudgetExceeded:
         try:
@@ -296,7 +297,7 @@ def cmd_rank(args) -> int:
             raise DocumentError(f"partial {partial!r} is not a boolean")
         ranked = rank(prune(patterns), args.by)
         save_json(ranked_to_doc(ranked, threshold, partial), args.out)
-    except (GraphError, RankError, DocumentError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, RankError, DocumentError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     print(f"ranked: {len(ranked)} patterns by {args.by}")
     return OK
@@ -305,7 +306,7 @@ def cmd_rank(args) -> int:
 def cmd_rules(args) -> int:
     try:
         doc = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except _UNREADABLE as exc:
         return _fail(str(exc))
     entries = doc.get("items", doc.get("patterns")) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -357,7 +358,7 @@ def cmd_simulate(args) -> int:
         )
         bundle = simulate(config)
         save_bundle(bundle, args.out)
-    except (SimError, ModelError, RuleError, OSError, json.JSONDecodeError) as exc:
+    except (SimError, ModelError, RuleError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     applications = sum(len(rev) for rev in bundle.logs)
     print(f"versions: {len(bundle.versions)}")
@@ -372,7 +373,7 @@ def cmd_eval(args) -> int:
             spec = GridSpec.from_json({**spec.to_json(), "jobs": args.jobs})
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError, EvalError) as exc:
+    except (EvalError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     result = run_grid(spec)
     summary = {
@@ -398,7 +399,7 @@ def cmd_report(args) -> int:
         path = path / "report.csv"
     try:
         rows = read_report_csv(path)
-    except (OSError, UnicodeDecodeError, csv.Error, EvalError) as exc:
+    except (csv.Error, EvalError, *_UNREADABLE) as exc:
         return _fail(str(exc))
     print(format_map_tables(rows), end="")
     return OK

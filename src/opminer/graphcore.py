@@ -1,14 +1,14 @@
 """Labeled directed graphs and the operations every other stage builds on.
 
 A graph is a set of (id, label) nodes plus directed (src, dst, label) edges.
-The module provides weak connected components, a connectivity test, the
-gSpan extension step of a DFS code (rightmost-path growth with its pruning
-rules), a canonical form for connected graphs (the minimal DFS code, with an
-explicit direction flag per code entry, grown greedily by that same step),
-label- and direction-preserving subgraph embedding search, the
-line-based transaction file format shared by the mining pipeline, and
-``save_json``: ``json.dump`` in the one layout of every JSON document the
-program saves, which ``modeldiff.save_models`` builds by hand for models.
+The module provides weak connected components, the gSpan extension step of
+a DFS code (rightmost-path growth with its pruning rules), a canonical form
+for connected graphs (the minimal DFS code, with an explicit direction flag
+per code entry, grown greedily by that same step), label- and
+direction-preserving subgraph embedding search, the line-based transaction
+file format shared by the mining pipeline, and ``save_json``: ``json.dump``
+in the one layout of every JSON document the program saves, which
+``modeldiff.save_models`` builds by hand for models.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ class GraphError(ValueError):
 
 def incidence(g: LabeledGraph) -> dict[int, tuple[tuple[int, int, str, str], ...]]:
     """Per node: (other endpoint, direction flag (0 out, 1 in), edge label,
-    other endpoint's label), sorted. ``LabeledGraph.incident`` caches it, for
-    the transactions every growth step scans. ``canonical_code`` and lattice
-    links build it for the call, so no pattern graph or cache key holds one."""
+    other endpoint's label), sorted. ``miner.TransactionDB.incident`` keeps it
+    for the transactions every growth step scans; every other caller builds
+    it for the call."""
     labels = dict(g.nodes)
     inc: dict[int, list[tuple[int, int, str, str]]] = {nid: [] for nid, _ in g.nodes}
     for src, dst, label in g.edges:
@@ -49,6 +49,9 @@ class LabeledGraph:
     pattern and rule documents) goes through it. The constructor trusts its
     caller to pass sorted tuples that pass those checks, as a subgraph or a
     one-edge extension of a checked graph does.
+
+    A graph is its nodes and edges only: a call that needs an index on it
+    (incidence map, label map, edge set) builds its own, so none is cached.
     """
 
     nodes: tuple[tuple[int, str], ...]
@@ -86,16 +89,6 @@ class LabeledGraph:
                 raise GraphError(f"duplicate edge {triple}")
             edge_seen.add(triple)
 
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.nodes)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int, str]]:
-        return frozenset(self.edges)
-
-    incident = cached_property(incidence)  # kept: transactions are scanned at every growth step
-
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -108,9 +101,6 @@ class LabeledGraph:
     def size(self) -> int:
         """Node count plus edge count; the quantity compression scores weigh."""
         return len(self.nodes) + len(self.edges)
-
-    def label(self, nid: int) -> str:
-        return self.label_map[nid]
 
 
 def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
@@ -145,21 +135,6 @@ def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
     for edge in g.edges:
         edges[component[edge[0]]].append(edge)
     return [LabeledGraph(tuple(n), tuple(e)) for n, e in zip(nodes, edges)]
-
-
-def is_connected(g: LabeledGraph) -> bool:
-    """Whether g is non-empty and weakly connected."""
-    if not g.nodes:
-        return False
-    seen = {g.nodes[0][0]}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w, *_ in g.incident[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.nodes)
 
 
 # --- canonical form -------------------------------------------------------
@@ -313,8 +288,7 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
     So the kept embeddings end with every edge covered, and each step's
     smallest entry is the next entry of the minimal code. On a connected
     graph they then cover every node, and on a disconnected one they cannot:
-    the walk ends short of ``g.n_nodes`` exactly when g is disconnected. Its
-    incidence map is local, so g, a key of this cache, is left unchanged.
+    the walk ends short of ``g.n_nodes`` exactly when g is disconnected.
     """
     if g.n_nodes == 0:
         raise GraphError("canonical code of the empty graph is undefined")
@@ -338,14 +312,14 @@ def canonical_code(g: LabeledGraph) -> CanonicalCode:
 # --- subgraph embedding ---------------------------------------------------
 
 
-def _search_order(needle: LabeledGraph) -> list[int]:
+def _search_order(incident: Incidence) -> list[int]:
     """Node visit order keeping each next node adjacent to placed ones."""
-    remaining = {nid for nid, _ in needle.nodes}
+    remaining = set(incident)
     order: list[int] = []
     placed: set[int] = set()
     while remaining:
         adjacent = sorted(
-            v for v in remaining if any(w in placed for w, *_ in needle.incident[v])
+            v for v in remaining if any(w in placed for w, *_ in incident[v])
         )
         pick = adjacent[0] if adjacent else min(remaining)
         order.append(pick)
@@ -358,16 +332,19 @@ def find_embeddings(needle: LabeledGraph, hay: LabeledGraph) -> Iterator[dict[in
     """Yield every injective label- and direction-preserving embedding.
 
     Embeddings map needle node ids to hay node ids, in a deterministic order.
+    The needle's incidence map and the hay's edge set are built for the call.
     """
     if needle.n_nodes == 0:
         yield {}
         return
-    order = _search_order(needle)
+    incident = incidence(needle)
+    order = _search_order(incident)
     by_label: dict[str, list[int]] = {}
     for nid, label in hay.nodes:
         by_label.setdefault(label, []).append(nid)
-    candidates = {v: by_label.get(needle.label(v), []) for v in order}
-    hay_edges = hay.edge_set
+    labels = dict(needle.nodes)
+    candidates = {v: by_label.get(labels[v], []) for v in order}
+    hay_edges = set(hay.edges)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -380,7 +357,7 @@ def find_embeddings(needle: LabeledGraph, hay: LabeledGraph) -> Iterator[dict[in
             if h in used:
                 continue
             ok = True
-            for w, dflag, el, _ in needle.incident[v]:
+            for w, dflag, el, _ in incident[v]:
                 if w not in mapping:
                     continue
                 need = (h, mapping[w], el) if dflag == 0 else (mapping[w], h, el)

@@ -25,10 +25,11 @@ from typing import Callable, Iterable, Sequence
 from .graphcore import (
     CanonicalCode,
     CodeEntry,
+    Incidence,
     LabeledGraph,
     canonical_code,
+    connected_components,
     incidence,
-    is_connected,
     rightmost_extensions,
     rightmost_path,
 )
@@ -53,7 +54,8 @@ class TransactionDB:
     Mining and calibration grow each isomorphism class of transactions once,
     from its first transaction, and weigh it by the class size
     (``multiplicity``); ``transactions``, ``tags`` and ``len`` keep every
-    transaction.
+    transaction. ``incident`` holds the incidence maps of those first
+    transactions, the one graph index that every growth step re-reads.
     """
 
     transactions: tuple[LabeledGraph, ...]
@@ -71,7 +73,7 @@ class TransactionDB:
         for idx, txn in enumerate(self.transactions):
             if txn.n_nodes == 0:
                 raise MinerError(f"transaction {idx} is empty")
-            if not is_connected(txn):
+            if len(connected_components(txn)) != 1:
                 raise MinerError(f"transaction {idx} is not connected")
 
     def __len__(self) -> int:
@@ -104,6 +106,11 @@ class TransactionDB:
                 classes.setdefault(canonical_code(self.transactions[tid]), []).append(tid)
             sizes.update((members[0], len(members)) for members in classes.values())
         return dict(sorted(sizes.items()))
+
+    @cached_property
+    def incident(self) -> dict[int, Incidence]:
+        """Per class, the ``graphcore.incidence`` map of its first transaction."""
+        return {tid: incidence(self.transactions[tid]) for tid in self.multiplicity}
 
     def support(self, tids: Iterable[int]) -> int:
         """How many transactions the classes of the first transactions ``tids`` hold."""
@@ -207,7 +214,7 @@ def _extensions(
     )
     for tid, embs in projections.items():
         check_budget()
-        for entry, found in extend(db.transactions[tid].incident, embs).items():
+        for entry, found in extend(db.incident[tid], embs).items():
             ext.setdefault(entry, {})[tid] = found
     return ext
 
@@ -257,8 +264,7 @@ def _closed(
     An extension in ``ext`` that reaches every transaction settles it at
     once. Otherwise the keys of the smallest projection are intersected with
     those of each further one, until none is left; the last one need only
-    show a single key. The pattern's edge set is built for the call, not
-    cached on its graph.
+    show a single key. The pattern's edge set is built for the call.
     """
     graph, _, _, projections = node
     if any(len(found) == len(projections) for found in ext.values()):
@@ -270,7 +276,7 @@ def _closed(
     for tid in order:
         check_budget()
         last = tid == order[-1]
-        incident = db.transactions[tid].incident
+        incident = db.incident[tid]
         found: set[tuple] = set()
         for emb in projections[tid]:
             index = {v: k for k, v in enumerate(emb)}
@@ -333,14 +339,14 @@ def _direct_subgraphs(g: LabeledGraph) -> list[LabeledGraph]:
     parallel and antiparallel edges never form a bridge. Node ids are
     renumbered 0..n-1 in order, the way pattern graphs number their nodes, so
     a subgraph the growth has built compares equal to that pattern's graph.
-    Both tests read incidence maps built for the call, so ``g`` caches none.
+    The leaf test reads an incidence map built for the call.
     """
     incident = incidence(g)
     out = []
     for drop in g.edges:
         rest = tuple(e for e in g.edges if e != drop)
         leaves = [v for v in drop[:2] if len(incident[v]) == 1]
-        if not leaves and is_connected(LabeledGraph(g.nodes, rest)):
+        if not leaves and len(connected_components(LabeledGraph(g.nodes, rest))) == 1:
             leaves = [None]  # not a bridge: every node stays
         for leaf in leaves:
             nodes = [n for n in g.nodes if n[0] != leaf]

@@ -336,18 +336,18 @@ def _overlapping_binding(
     """Uniform choice among valid bindings sharing >= 1 element with ``touched``.
 
     Enumerated by anchoring each binding slot at each touched element of
-    matching type, so only completions of overlapping sites are visited.
+    matching type, so only completions of overlapping sites are visited. A
+    binding is listed from the first slot it binds to a touched element
+    only; the later anchors that yield it skip it.
     """
-    seen: set[tuple] = set()
     overlapping: list[dict[int, str]] = []
-    for rid, typ in _binding_nodes(rule):
+    slots = _binding_nodes(rule)
+    for k, (rid, typ) in enumerate(slots):
         for uid in sorted(touched):
             if model.type_map.get(uid) != typ:
                 continue
             for binding in find_bindings(rule, model, fixed={rid: uid}):
-                key = tuple(sorted(binding.items()))
-                if key not in seen:
-                    seen.add(key)
+                if all(binding[earlier] not in touched for earlier, _ in slots[:k]):
                     overlapping.append(binding)
     if not overlapping:
         return None

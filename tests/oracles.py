@@ -67,11 +67,10 @@ def isomorphic_oracle(a: LabeledGraph, b: LabeledGraph) -> bool:
         return False
     if sorted(l for _, l in a.nodes) != sorted(l for _, l in b.nodes):
         return False
-    a_ids = [n for n, _ in a.nodes]
-    b_ids = [n for n, _ in b.nodes]
-    for perm in itertools.permutations(b_ids):
-        mapping = dict(zip(a_ids, perm))
-        if any(a.label(n) != b.label(mapping[n]) for n in a_ids):
+    a_labels, b_labels = dict(a.nodes), dict(b.nodes)
+    for perm in itertools.permutations(b_labels):
+        mapping = dict(zip(a_labels, perm))
+        if any(a_labels[n] != b_labels[mapping[n]] for n in a_labels):
             continue
         if {(mapping[s], mapping[d], l) for s, d, l in a.edges} == set(b.edges):
             return True
@@ -80,14 +79,14 @@ def isomorphic_oracle(a: LabeledGraph, b: LabeledGraph) -> bool:
 
 def embeddings_oracle(needle: LabeledGraph, hay: LabeledGraph) -> list[dict[int, int]]:
     """All injective embeddings by exhaustive placement search."""
-    n_ids = [n for n, _ in needle.nodes]
-    h_ids = [n for n, _ in hay.nodes]
+    n_labels, h_labels = dict(needle.nodes), dict(hay.nodes)
+    hay_edges = set(hay.edges)
     out = []
-    for combo in itertools.permutations(h_ids, len(n_ids)):
-        mapping = dict(zip(n_ids, combo))
-        if any(needle.label(n) != hay.label(mapping[n]) for n in n_ids):
+    for combo in itertools.permutations(h_labels, len(n_labels)):
+        mapping = dict(zip(n_labels, combo))
+        if any(n_labels[n] != h_labels[mapping[n]] for n in n_labels):
             continue
-        if all((mapping[s], mapping[d], l) in hay.edge_set for s, d, l in needle.edges):
+        if all((mapping[s], mapping[d], l) in hay_edges for s, d, l in needle.edges):
             out.append(mapping)
     return out
 
@@ -102,7 +101,8 @@ def _is_connected(node_ids, edges) -> bool:
 
 def connected_subgraphs_oracle(g: LabeledGraph) -> list[LabeledGraph]:
     """Every connected subgraph (any node subset plus any edge subset on it)."""
-    node_ids = [n for n, _ in g.nodes]
+    labels = dict(g.nodes)
+    node_ids = list(labels)
     found: list[LabeledGraph] = []
     for r in range(1, len(node_ids) + 1):
         for node_combo in itertools.combinations(node_ids, r):
@@ -113,7 +113,7 @@ def connected_subgraphs_oracle(g: LabeledGraph) -> list[LabeledGraph]:
                     if not _is_connected(node_combo, edge_combo):
                         continue
                     found.append(
-                        LabeledGraph.of([(n, g.label(n)) for n in node_combo], edge_combo)
+                        LabeledGraph.of([(n, labels[n]) for n in node_combo], edge_combo)
                     )
     return found
 
@@ -174,10 +174,10 @@ def closed_patterns_oracle(
     support): those that no class one edge larger, containing the
     representative by ``embeddings_oracle``, matches in support."""
     classes = frequent_patterns_oracle(transactions, threshold)
-    labels = [
-        Counter(l for _, l in g.nodes) + Counter((g.label(a), l, g.label(b)) for a, b, l in g.edges)
-        for g, _ in classes
-    ]
+    labels = []
+    for g, _ in classes:
+        at = dict(g.nodes)
+        labels.append(Counter(at.values()) + Counter((at[a], l, at[b]) for a, b, l in g.edges))
     by_support_and_size: dict[tuple[int, int], list[int]] = {}
     for k, (h, t) in enumerate(classes):
         by_support_and_size.setdefault((t, h.n_edges), []).append(k)
@@ -269,7 +269,7 @@ def minimal_code_oracle(g: LabeledGraph) -> tuple[str, tuple]:
     (i, j, dflag, from label, edge label, to label) over discovery indices;
     dflag is 0 when the edge runs from index i to index j.
     """
-    labels = g.label_map
+    labels = dict(g.nodes)
     best = None
 
     def walk(order, covered, rmpath, code):
@@ -350,4 +350,5 @@ def scg_oracle(dg):
     changed_nodes = {n for n, label in g.nodes if not label.startswith("preserved_")}
     changed_edges = [e for e in g.edges if not e[2].startswith("preserved_")]
     keep = changed_nodes | {n for s, d, _ in changed_edges for n in (s, d)}
-    return dg.restrict(LabeledGraph.of([(n, g.label(n)) for n in keep], changed_edges))
+    labels = dict(g.nodes)
+    return dg.restrict(LabeledGraph.of([(n, labels[n]) for n in keep], changed_edges))

@@ -610,6 +610,37 @@ def test_report_exit_codes(tmp_path, text, expected):
         assert proc.stderr.startswith("error: ")
 
 
+# (case, arguments), run in a directory that holds the fig_files models
+# old.json and new.json and a file F that is not UTF-8 text
+SIMULATE = ["simulate", "--d", "1", "--e", "1", "--p", "0", "--seed", "1", "--out", "bundle"]
+NOT_UTF8_FORMS = [
+    ("mine", ["mine", "F", "--out", "r.json"]),
+    ("diff model", ["diff", "F", "new.json", "--out", "scg.txt"]),
+    ("diff meta-model", ["diff", "old.json", "new.json", "--metamodel", "F", "--out", "scg.txt"]),
+    ("rank", ["rank", "--in", "F", "--out", "r.json"]),
+    ("rules", ["rules", "--in", "F", "--out", "rules"]),
+    ("eval grid", ["eval", "--grid", "F", "--out", "runs"]),
+    ("simulate counts", SIMULATE + ["--counts", "F"]),
+    ("simulate meta-model", SIMULATE + ["--metamodel", "F"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args", [row[1] for row in NOT_UTF8_FORMS], ids=[row[0] for row in NOT_UTF8_FORMS]
+)
+def test_input_file_not_utf8_exits_2(tmp_path, fig_files, args):
+    """An input file that cannot be read as UTF-8 is an input error, exit 2."""
+    (tmp_path / "F").write_bytes(b"\xff\xfe{}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opminer.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 class TestRankAndRules:
     def test_rank_modes(self, tmp_path, scg_file):
         patterns_path = tmp_path / "patterns.json"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from opminer import miner
-from opminer.graphcore import CanonicalCode, LabeledGraph, canonical_code
+from opminer.graphcore import CanonicalCode, LabeledGraph, canonical_code, is_subgraph_isomorphic
 from opminer.miner import (
     CalibrationConfig,
     MinerError,
@@ -268,23 +268,24 @@ def rightmost_extensions(db, node, backward, forward):
     its rightmost path, read off the transactions' edge lists, no rule applied;
     backward entries only when ``backward``, forward ones only when ``forward``."""
     graph, code, rmpath, projections = node
-    labels, n, r = graph.label_map, graph.n_nodes, rmpath[-1]
+    labels, n, r = dict(graph.nodes), graph.n_nodes, rmpath[-1]
     entries = set()
     for tid, embs in projections.items():
         txn = db.transactions[tid]
+        txn_labels = dict(txn.nodes)
         for emb in embs:
             index = {v: k for k, v in enumerate(emb)}
             for s, d, el in txn.edges:
                 a, b = index.get(s), index.get(d)
                 if a is not None and b is not None:
-                    if not backward or r not in (a, b) or (a, b, el) in graph.edge_set:
+                    if not backward or r not in (a, b) or (a, b, el) in graph.edges:
                         continue
                     j = b if a == r else a
                     if j in rmpath:
                         entries.add((r, j, 0 if a == r else 1, labels[r], el, labels[j]))
                 elif (a if b is None else b) in rmpath and forward:
                     i, w, dflag = (a, d, 0) if b is None else (b, s, 1)
-                    entries.add((i, n, dflag, labels[i], el, txn.label(w)))
+                    entries.add((i, n, dflag, labels[i], el, txn_labels[w]))
     return entries
 
 
@@ -374,8 +375,10 @@ def test_golden_pattern_documents(case):
 
 
 def test_only_transactions_keep_derived_indexes():
-    """Growth scans the transactions' cached incidence maps; the mined
-    pattern graphs, which live as long as the result, keep no index."""
+    """Growth scans the incidence maps the transaction database keeps, one
+    per isomorphism class; every graph, pattern or transaction, stays its
+    nodes and edges, even once links are read and patterns are embedded in
+    one another."""
     from opminer.evalharness import bundle_to_db
     from opminer.simgen import SimConfig, default_catalogs, simulate
 
@@ -385,9 +388,14 @@ def test_only_transactions_keep_derived_indexes():
     )
     patterns = mine(db, calibrate_threshold(db))
     assert any(p.graph.n_edges > 1 for p in patterns)
+    assert sum(len(p.parents) + len(p.children) for p in patterns) > 0
+    by_code = {p.code: p for p in patterns}
     for p in patterns:
-        assert not {"incident", "label_map", "edge_set"} & vars(p.graph).keys(), p.code.text
-    assert all("incident" in vars(db.transactions[tid]) for tid in db.multiplicity)
+        for q in p.parents:
+            assert is_subgraph_isomorphic(p.graph, by_code[q].graph)[0]
+    for g in [p.graph for p in patterns] + list(db.transactions):
+        assert vars(g).keys() == {"nodes", "edges"}
+    assert db.incident.keys() == db.multiplicity.keys()
 
 
 def test_reading_links_leaves_pattern_graphs_without_indexes():
