@@ -14,9 +14,9 @@ edited benchmark does not count.
 For every end-to-end metric the script prints each side's median and
 quartiles, the share of pairs the change won (ties count for neither side,
 "better" is the metric's direction in ``BENCHMARK.json``), the change of the
-median against the metric's bound and the parent's interquartile spread. It
-exits 1 if any run failed, was not ``correct`` or had failed operations, and
-2 on bad arguments.
+median against the metric's bound and the parent's interquartile spread, and
+the verdict of ``verdict``. It exits 1 if any run failed, was not
+``correct`` or had failed operations, and 2 on bad arguments.
 """
 
 import argparse
@@ -62,6 +62,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric from paired runs (``parent[i]`` and
+    ``change[i]`` ran as one pair), ``better`` being "lower" or "higher":
+
+    - ``gain``: the change won at least 9 of 10 pairs, ties counting for
+      neither side, and its median is better than the parent's by more than
+      the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's interquartile range exceeds ``bound`` of
+      its median, so the runs spread too widely to tell, unless every change
+      run beat every parent run;
+    - ``within bound`` otherwise.
+    """
+    sign = 1 if better == "lower" else -1  # sign * value: lower is better
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles(parent), quartiles(change)
+    if 10 * wins >= 9 * len(parent) and sign * (pmed - cmed) > pq3 - pq1:
+        return "gain"
+    if sign * (cmed - pmed) > bound * abs(pmed):
+        return "worse"
+    beat_every_parent_run = max(sign * c for c in change) < min(sign * p for p in parent)
+    if pq3 - pq1 > bound * abs(pmed) and not beat_every_parent_run:
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -129,7 +156,8 @@ def main(argv=None) -> int:
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]  "
             f"change won {wins}/{len(parent)}  median {moved:+.1%} (bound {metric['bound']:.0%})  "
-            f"|median difference| {abs(cmed - pmed):.4g} vs parent IQR {pq3 - pq1:.4g}"
+            f"|median difference| {abs(cmed - pmed):.4g} vs parent IQR {pq3 - pq1:.4g}  "
+            f"verdict: {verdict(parent, change, metric['better'], metric['bound'])}"
         )
     return 0 if ok else 1
 

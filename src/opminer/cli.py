@@ -2,11 +2,14 @@
 
 Stages hand off through files so partial runs stay inspectable. Exit codes:
 0 ok, 1 partial per-item failures, 2 input errors, 3 time budget exceeded.
+Commands raise; ``main`` alone maps an error in ``INPUT_ERRORS`` to exit 2,
+and any other exception, a fault of the program, ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,7 +21,6 @@ from pathlib import Path
 from .evalharness import (
     EvalError,
     GridSpec,
-    ThresholdSpec,
     format_map_tables,
     read_report_csv,
     run_grid,
@@ -63,7 +65,17 @@ from .simgen import (
 )
 
 OK, PARTIAL, INPUT_ERROR, BUDGET_EXCEEDED = 0, 1, 2, 3
-_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # a bad input file
+
+
+class DocumentError(ValueError):
+    """Malformed input document or file."""
+
+
+#: what ``main`` reports as an input error, exit 2; anything else is a program fault
+INPUT_ERRORS = (
+    OSError, csv.Error, UnicodeDecodeError, json.JSONDecodeError,
+    DocumentError, EvalError, GraphError, MinerError, ModelError, RankError, RuleError, SimError,
+)
 
 
 def _fail(message: str) -> int:
@@ -107,10 +119,6 @@ def patterns_to_doc(patterns: list[Pattern], threshold: int, partial: bool) -> d
         return doc
 
     return {"threshold": threshold, "partial": partial, "patterns": [entry(p) for p in patterns]}
-
-
-class DocumentError(ValueError):
-    """Malformed pattern or ranked document."""
 
 
 def _entry_graph(entry, where: str) -> LabeledGraph:
@@ -160,8 +168,17 @@ def ranked_to_doc(ranked: RankedList, threshold: int, partial: bool) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Name ``path`` in a decode or parse error (an OSError names it already)."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, GraphError, ModelError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
+
+
 def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -169,20 +186,19 @@ def _read_json(path) -> dict:
 
 
 def cmd_diff(args) -> int:
-    try:
+    with _reading(args.old):
         old = load_model(args.old)
+    with _reading(args.new):
         new = load_model(args.new)
-        if args.metamodel:
-            mm = MetaModel.from_json(_read_json(args.metamodel))
-            old.validate_against(mm)
-            new.validate_against(mm)
-        scg = simple_change_graph(difference_graph(old, new))
-        components = change_components(scg)
-        text = dumps_transactions([c.graph for c in components])
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except (ModelError, GraphError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
+    if args.metamodel:
+        mm = MetaModel.from_json(_read_json(args.metamodel))
+        old.validate_against(mm)
+        new.validate_against(mm)
+    scg = simple_change_graph(difference_graph(old, new))
+    components = change_components(scg)
+    text = dumps_transactions([c.graph for c in components])
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     counts = change_counts(scg)
     print(f"components: {len(components)}")
     print(f"created: {counts['created']}")
@@ -191,26 +207,14 @@ def cmd_diff(args) -> int:
     return OK
 
 
-def _collect_transaction_files(inputs: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for item in inputs:
-        path = Path(item)
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.txt")))
-        else:
-            files.append(path)
-    return files
-
-
 def _load_db(inputs: list[str]) -> TransactionDB:
+    """The transactions of each input file and input directory's ``*.txt`` files."""
     graphs: list[LabeledGraph] = []
-    tags: list[str] = []
-    for path in _collect_transaction_files(inputs):
-        with open(path, "r", encoding="utf-8") as fh:
-            parsed = loads_transactions(fh.read())
-        graphs.extend(parsed)
-        tags.extend(f"{path.name}:{i}" for i in range(len(parsed)))
-    return TransactionDB.of(graphs, tags)
+    for item in map(Path, inputs):
+        for path in sorted(item.glob("*.txt")) if item.is_dir() else [item]:
+            with _reading(path), open(path, "r", encoding="utf-8") as fh:
+                graphs.extend(loads_transactions(fh.read()))
+    return TransactionDB.of(graphs)
 
 
 def _check_threshold_flags(args) -> None:
@@ -236,48 +240,28 @@ def _resolve_threshold(args, db: TransactionDB, time_budget_s: float) -> tuple[i
 
 
 def cmd_mine(args) -> int:
+    time_budget_s = _time_budget(args)
+    _check_threshold_flags(args)
+    db = _load_db(args.inputs)
+    threshold, patterns, partial = 0, [], False
+    start = time.perf_counter()
     try:
-        time_budget_s = _time_budget(args)
-        _check_threshold_flags(args)
-        db = _load_db(args.inputs)
         if len(db) == 0:
-            save_json(ranked_to_doc(RankedList(args.by, ()), 0, False), args.out)
-            if args.patterns_out:
-                save_json(patterns_to_doc([], 0, False), args.patterns_out)
             print("threshold: n/a (empty input)")
-            print("patterns: 0")
-            return OK
-        threshold, header = _resolve_threshold(args, db, time_budget_s)
-    except (GraphError, MinerError, RankError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
-    except MiningBudgetExceeded:
-        try:
-            save_json(ranked_to_doc(RankedList(args.by, ()), 0, True), args.out)
-            if args.patterns_out:
-                save_json(patterns_to_doc([], 0, True), args.patterns_out)
-        except OSError as exc:
-            return _fail(str(exc))
-        print("warning: calibration exceeded the time budget; nothing mined", file=sys.stderr)
-        return BUDGET_EXCEEDED
-
-    print(header)
-    partial = False
-    t0 = time.perf_counter()
-    try:
-        patterns = mine(db, threshold, time_budget_s=time_budget_s)
+        else:
+            threshold, header = _resolve_threshold(args, db, time_budget_s)
+            print(header)
+            start = time.perf_counter()  # wall_ms times mining alone
+            patterns = mine(db, threshold, time_budget_s=time_budget_s)
     except MiningBudgetExceeded as exc:
-        patterns = exc.partial
-        partial = True
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+        patterns, partial = exc.partial, True
+    wall_ms = (time.perf_counter() - start) * 1000.0
 
     kept = prune(patterns)
     ranked = rank(kept, args.by)
-    try:
-        save_json(ranked_to_doc(ranked, threshold, partial), args.out)
-        if args.patterns_out:
-            save_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
-    except OSError as exc:
-        return _fail(str(exc))
+    save_json(ranked_to_doc(ranked, threshold, partial), args.out)
+    if args.patterns_out:
+        save_json(patterns_to_doc(patterns, threshold, partial), args.patterns_out)
     print(f"patterns: {len(patterns)} mined, {len(kept)} after pruning")
     print(f"wall_ms: {wall_ms:.1f}")
     if partial:
@@ -287,35 +271,26 @@ def cmd_mine(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    try:
-        doc = _read_json(args.input)
-        patterns = doc_to_patterns(doc)
-        threshold, partial = doc.get("threshold", 0), doc.get("partial", False)
-        if type(threshold) is not int or threshold < 0:
-            raise DocumentError(f"threshold {threshold!r} is not a non-negative integer")
-        if type(partial) is not bool:
-            raise DocumentError(f"partial {partial!r} is not a boolean")
-        ranked = rank(prune(patterns), args.by)
-        save_json(ranked_to_doc(ranked, threshold, partial), args.out)
-    except (GraphError, RankError, DocumentError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
+    doc = _read_json(args.input)
+    patterns = doc_to_patterns(doc)
+    threshold, partial = doc.get("threshold", 0), doc.get("partial", False)
+    if type(threshold) is not int or threshold < 0:
+        raise DocumentError(f"threshold {threshold!r} is not a non-negative integer")
+    if type(partial) is not bool:
+        raise DocumentError(f"partial {partial!r} is not a boolean")
+    ranked = rank(prune(patterns), args.by)
+    save_json(ranked_to_doc(ranked, threshold, partial), args.out)
     print(f"ranked: {len(ranked)} patterns by {args.by}")
     return OK
 
 
 def cmd_rules(args) -> int:
-    try:
-        doc = _read_json(args.input)
-    except _UNREADABLE as exc:
-        return _fail(str(exc))
+    doc = _read_json(args.input)
     entries = doc.get("items", doc.get("patterns")) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
-        return _fail("input document holds neither an items nor a patterns list")
+        raise DocumentError("input document holds neither an items nor a patterns list")
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     written: set[int] = set()  # a rule file is named by its rank, so a rank is written once
     for i, entry in enumerate(entries):
@@ -331,35 +306,29 @@ def cmd_rules(args) -> int:
             failures += 1
             print(f"warning: pattern at rank {rank_no} skipped: {exc}", file=sys.stderr)
             continue
-        try:
-            save_rule(rule, out_dir / f"rule_{rank_no:04d}.json")
-            if args.dot:
-                (out_dir / f"rule_{rank_no:04d}.dot").write_text(to_dot(rule), encoding="utf-8")
-        except OSError as exc:
-            return _fail(str(exc))
+        save_rule(rule, out_dir / f"rule_{rank_no:04d}.json")
+        if args.dot:
+            (out_dir / f"rule_{rank_no:04d}.dot").write_text(to_dot(rule), encoding="utf-8")
         written.add(rank_no)
     print(f"rules: {len(written)} written, {failures} skipped")
     return PARTIAL if failures else OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        metamodel = (
-            MetaModel.from_json(_read_json(args.metamodel))
-            if args.metamodel
-            else default_metamodel()
-        )
-        counts = _read_json(args.counts) if args.counts else dict(DEFAULT_INSTANCE_COUNTS)
-        core, pert = default_catalogs(both_core_rules=args.rules == "experiment2")
-        config = SimConfig(
-            d=args.d, e=args.e, p=args.p, seed=args.seed,
-            core_rules=core, perturbations=pert,
-            metamodel=metamodel, initial_counts=counts,
-        )
-        bundle = simulate(config)
-        save_bundle(bundle, args.out)
-    except (SimError, ModelError, RuleError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
+    metamodel = (
+        MetaModel.from_json(_read_json(args.metamodel))
+        if args.metamodel
+        else default_metamodel()
+    )
+    counts = _read_json(args.counts) if args.counts else dict(DEFAULT_INSTANCE_COUNTS)
+    core, pert = default_catalogs(both_core_rules=args.rules == "experiment2")
+    config = SimConfig(
+        d=args.d, e=args.e, p=args.p, seed=args.seed,
+        core_rules=core, perturbations=pert,
+        metamodel=metamodel, initial_counts=counts,
+    )
+    bundle = simulate(config)
+    save_bundle(bundle, args.out)
     applications = sum(len(rev) for rev in bundle.logs)
     print(f"versions: {len(bundle.versions)}")
     print(f"applications: {applications} ({bundle.skipped_applications} skipped)")
@@ -367,25 +336,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        spec = GridSpec.from_json(_read_json(args.grid))
-        if args.jobs is not None:
-            spec = GridSpec.from_json({**spec.to_json(), "jobs": args.jobs})
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (EvalError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
+    spec = GridSpec.from_json(_read_json(args.grid))
+    if args.jobs is not None:
+        spec = GridSpec.from_json({**spec.to_json(), "jobs": args.jobs})
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_grid(spec)
     summary = {
         "map": result.map_table(),
         "errors": {str(k): v for k, v in sorted(result.errors.items())},
         "grid": spec.to_json(),
     }
-    try:
-        write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
-        save_json(summary, out_dir / "summary.json")
-    except OSError as exc:
-        return _fail(str(exc))
+    write_report_csv(result.rows, out_dir / "report.csv", ks=spec.ks)
+    save_json(summary, out_dir / "summary.json")
     print(format_map_tables(result.rows), end="")
     if result.errors:
         print(f"warning: {len(result.errors)} cells failed", file=sys.stderr)
@@ -397,10 +360,8 @@ def cmd_report(args) -> int:
     path = Path(args.input)
     if path.is_dir():
         path = path / "report.csv"
-    try:
+    with _reading(path):
         rows = read_report_csv(path)
-    except (csv.Error, EvalError, *_UNREADABLE) as exc:
-        return _fail(str(exc))
     print(format_map_tables(rows), end="")
     return OK
 
@@ -471,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -289,9 +289,12 @@ class LoggedApplication:
     """One core application plus its optional perturbation, replayable."""
 
     record: ApplicationRecord
-    perturbed: bool = False
     perturbation: ApplicationRecord | None = None
     skipped_perturbation: bool = False
+
+    @property
+    def perturbed(self) -> bool:
+        return self.perturbation is not None
 
     def to_json(self) -> dict:
         def rec(r: ApplicationRecord | None):
@@ -399,12 +402,12 @@ def simulate(config: SimConfig) -> RepoBundle:
                         chosen = (pert_rule, binding)
                         break
                 if chosen is None:
-                    entry = LoggedApplication(record, perturbed=False, skipped_perturbation=True)
+                    entry = LoggedApplication(record, skipped_perturbation=True)
                     log.warning("no overlapping perturbation site after %s", rule.name)
                 else:
                     pert_rule, binding = chosen
                     pert_record = apply_in_place(pert_rule, model, site=binding, seed=pert_seed)
-                    entry = LoggedApplication(record, perturbed=True, perturbation=pert_record)
+                    entry = LoggedApplication(record, perturbation=pert_record)
             rev_log.append(entry)
         versions.append(model.snapshot())
         logs.append(rev_log)
@@ -424,7 +427,7 @@ def replay(bundle: RepoBundle) -> list[ModelVersion]:
     for rev_log in bundle.logs:
         for entry in rev_log:
             records = [entry.record]
-            if entry.perturbed and entry.perturbation is not None:
+            if entry.perturbed:
                 records.append(entry.perturbation)
             for record in records:
                 apply_in_place(

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import itertools
 import json
 import os
@@ -11,14 +13,15 @@ from pathlib import Path
 import pytest
 
 import opminer
-from opminer import miner
-from opminer.cli import BUDGET_EXCEEDED, OK, main, patterns_to_doc
-from opminer.evalharness import bundle_to_db
-from opminer.graphcore import dumps_transactions, loads_transactions
-from opminer.miner import _link as link
-from opminer.modeldiff import save_models
-from opminer.ranker import prune
-from opminer.simgen import SimConfig, default_catalogs, simulate
+from opminer import cli, miner
+from opminer.cli import BUDGET_EXCEEDED, OK, DocumentError, main, patterns_to_doc
+from opminer.evalharness import EvalError, bundle_to_db
+from opminer.graphcore import GraphError, dumps_transactions, loads_transactions
+from opminer.miner import MinerError, _link as link
+from opminer.modeldiff import ModelError, save_models
+from opminer.ranker import RankError, prune
+from opminer.rulegen import RuleError
+from opminer.simgen import SimConfig, SimError, default_catalogs, simulate
 from fixtures import FIXTURE_METAMODEL, SMALL_COUNTS, fig_pair
 from oracles import random_connected_graph
 
@@ -610,27 +613,54 @@ def test_report_exit_codes(tmp_path, text, expected):
         assert proc.stderr.startswith("error: ")
 
 
-# (case, arguments), run in a directory that holds the fig_files models
-# old.json and new.json and a file F that is not UTF-8 text
+# (case, arguments, the input file that the error line names), run in a
+# directory that holds the fig_files models old.json and new.json, a file F
+# that is not UTF-8 text, a file bad.json holding "{", a model int-type.json
+# with an integer element type, a transaction file bad.txt with an unknown
+# record, a valid one good.txt and a directory scg holding a valid a.txt and
+# an invalid b.txt
 SIMULATE = ["simulate", "--d", "1", "--e", "1", "--p", "0", "--seed", "1", "--out", "bundle"]
-NOT_UTF8_FORMS = [
-    ("mine", ["mine", "F", "--out", "r.json"]),
-    ("diff model", ["diff", "F", "new.json", "--out", "scg.txt"]),
-    ("diff meta-model", ["diff", "old.json", "new.json", "--metamodel", "F", "--out", "scg.txt"]),
-    ("rank", ["rank", "--in", "F", "--out", "r.json"]),
-    ("rules", ["rules", "--in", "F", "--out", "rules"]),
-    ("eval grid", ["eval", "--grid", "F", "--out", "runs"]),
-    ("simulate counts", SIMULATE + ["--counts", "F"]),
-    ("simulate meta-model", SIMULATE + ["--metamodel", "F"]),
+BAD_INPUT_FILE_FORMS = [
+    ("mine", ["mine", "F", "--out", "r.json"], "F"),
+    ("diff model", ["diff", "F", "new.json", "--out", "scg.txt"], "F"),
+    ("diff new model", ["diff", "old.json", "F", "--out", "scg.txt"], "F"),
+    ("diff meta-model", ["diff", "old.json", "new.json", "--metamodel", "F", "--out", "scg.txt"],
+     "F"),
+    ("rank", ["rank", "--in", "F", "--out", "r.json"], "F"),
+    ("rules", ["rules", "--in", "F", "--out", "rules"], "F"),
+    ("eval grid", ["eval", "--grid", "F", "--out", "runs"], "F"),
+    ("simulate counts", SIMULATE + ["--counts", "F"], "F"),
+    ("simulate meta-model", SIMULATE + ["--metamodel", "F"], "F"),
+    ("report", ["report", "--in", "F"], "F"),
+    ("rank malformed json", ["rank", "--in", "bad.json", "--out", "r.json"], "bad.json"),
+    ("diff new model malformed json", ["diff", "old.json", "bad.json", "--out", "scg.txt"],
+     "bad.json"),
+    ("diff new model with an integer type",
+     ["diff", "old.json", "int-type.json", "--out", "scg.txt"], "int-type.json"),
+    ("eval grid malformed json", ["eval", "--grid", "bad.json", "--out", "runs"], "bad.json"),
+    ("mine bad record", ["mine", "bad.txt", "--out", "r.json"], "bad.txt"),
+    ("mine bad second input", ["mine", "good.txt", "bad.txt", "--out", "r.json"], "bad.txt"),
+    ("mine bad file in a directory", ["mine", "scg", "--out", "r.json"], "scg/b.txt"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args", [row[1] for row in NOT_UTF8_FORMS], ids=[row[0] for row in NOT_UTF8_FORMS]
+    "args, named", [row[1:] for row in BAD_INPUT_FILE_FORMS],
+    ids=[row[0] for row in BAD_INPUT_FILE_FORMS],
 )
-def test_input_file_not_utf8_exits_2(tmp_path, fig_files, args):
-    """An input file that cannot be read as UTF-8 is an input error, exit 2."""
+def test_input_file_not_utf8_exits_2(tmp_path, fig_files, args, named):
+    """An input file that cannot be decoded as UTF-8 text, or parsed, is an
+    input error, exit 2, and the error line names it."""
     (tmp_path / "F").write_bytes(b"\xff\xfe{}\n")
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    (tmp_path / "int-type.json").write_text(
+        json.dumps({"elements": [{"uid": "a", "type": 5}], "references": []}), encoding="utf-8"
+    )
+    (tmp_path / "good.txt").write_text(PORT, encoding="utf-8")
+    (tmp_path / "bad.txt").write_text(PORT + "x\n", encoding="utf-8")
+    (tmp_path / "scg").mkdir()
+    (tmp_path / "scg" / "a.txt").write_text(PORT, encoding="utf-8")
+    (tmp_path / "scg" / "b.txt").write_text(PORT + "x\n", encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "opminer.cli", *args],
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)}, cwd=tmp_path,
@@ -638,7 +668,77 @@ def test_input_file_not_utf8_exits_2(tmp_path, fig_files, args):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {named}: "), proc.stderr
+
+
+def parser_running(command):
+    """A stand-in for ``build_parser`` whose parsed arguments run ``command``."""
+    return types.SimpleNamespace(parse_args=lambda argv: argparse.Namespace(func=command))
+
+
+# every error class that main reports as an input error, exit 2
+INPUT_ERRORS = [
+    OSError(2, "No such file or directory", "absent.json"),
+    csv.Error("field larger than field limit"),
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    json.JSONDecodeError("Expecting value", "{", 1),
+    DocumentError("bad document"),
+    EvalError("bad grid"),
+    GraphError("bad graph"),
+    MinerError("bad budget"),
+    ModelError("bad model"),
+    RankError("bad threshold"),
+    RuleError("bad rule"),
+    SimError("bad counts"),
+]
+
+
+@pytest.mark.parametrize("exc", INPUT_ERRORS, ids=[type(e).__name__ for e in INPUT_ERRORS])
+def test_main_reports_each_input_error_as_exit_2(monkeypatch, capsys, exc):
+    def command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_parser", lambda: parser_running(command))
+    assert main([]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("exc", [KeyError("code"), ValueError("bad value")],
+                         ids=["KeyError", "ValueError"])
+def test_main_lets_a_fault_of_the_program_propagate(monkeypatch, exc):
+    """Only the listed input errors exit 2; any other exception, a bare
+    ValueError included, is a fault of the program and propagates."""
+    def command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_parser", lambda: parser_running(command))
+    with pytest.raises(type(exc)):
+        main([])
+
+
+@pytest.mark.parametrize("partial", [False, True],
+                         ids=["empty input", "budget out while calibrating"])
+def test_mine_documents_when_nothing_is_mined(tmp_path, scg_file, monkeypatch, partial):
+    """Empty input writes threshold 0 and no patterns; an overrun in
+    calibration writes the same, marked partial, and exits 3."""
+    source = scg_file
+    if partial:
+        monkeypatch.setenv("OPMINER_TIME_BUDGET_S", "0")
+    else:
+        monkeypatch.delenv("OPMINER_TIME_BUDGET_S", raising=False)
+        source = tmp_path / "empty.txt"
+        source.write_text("", encoding="utf-8")
+    ranked, patterns = tmp_path / "ranked.json", tmp_path / "patterns.json"
+    code = main(["mine", str(source), "--out", str(ranked), "--patterns-out", str(patterns)])
+    assert code == (BUDGET_EXCEEDED if partial else OK)
+    flag = "true" if partial else "false"
+    assert ranked.read_text() == (
+        '{\n  "items": [],\n  "mode": "compression",\n'
+        f'  "partial": {flag},\n  "threshold": 0\n}}\n'
+    )
+    assert patterns.read_text() == (
+        f'{{\n  "partial": {flag},\n  "patterns": [],\n  "threshold": 0\n}}\n'
+    )
 
 
 class TestRankAndRules:
