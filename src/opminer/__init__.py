@@ -33,7 +33,7 @@ from .modeldiff import (
     simple_change_graph,
 )
 from .ranker import RankedList, compression, prune, rank
-from .rulegen import EditRule, NoMatchError, RuleError, apply, pattern_to_rule
+from .rulegen import EditRule, NoMatchError, RuleError, pattern_to_rule
 from .simgen import RepoBundle, SimConfig, build_initial, default_catalogs, simulate
 from .evalharness import GridSpec, ap_at_k, locate_truth, run_grid, spearman
 

@@ -45,6 +45,7 @@ from .miner import (
 )
 from .modeldiff import (
     ModelError,
+    WorkingModel,
     change_components,
     change_counts,
     difference_graph,
@@ -58,6 +59,7 @@ from .simgen import (
     DEFAULT_INSTANCE_COUNTS,
     SimConfig,
     SimError,
+    check_counts,
     default_catalogs,
     default_metamodel,
     save_bundle,
@@ -170,16 +172,24 @@ def ranked_to_doc(ranked: RankedList, threshold: int, partial: bool) -> dict:
 
 @contextlib.contextmanager
 def _reading(path):
-    """Name ``path`` in a decode or parse error (an OSError names it already)."""
+    """Name ``path`` in a decode, parse or structure error (an OSError names
+    it already)."""
     try:
         yield
-    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, GraphError, ModelError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, GraphError, ModelError,
+            SimError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
 
 
 def _read_json(path) -> dict:
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_metamodel(path) -> MetaModel:
+    doc = _read_json(path)
+    with _reading(path):
+        return MetaModel.from_json(doc)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -191,9 +201,9 @@ def cmd_diff(args) -> int:
     with _reading(args.new):
         new = load_model(args.new)
     if args.metamodel:
-        mm = MetaModel.from_json(_read_json(args.metamodel))
-        old.validate_against(mm)
-        new.validate_against(mm)
+        mm = _read_metamodel(args.metamodel)
+        WorkingModel(old, mm)  # each raises ModelError unless its version conforms
+        WorkingModel(new, mm)
     scg = simple_change_graph(difference_graph(old, new))
     components = change_components(scg)
     text = dumps_transactions([c.graph for c in components])
@@ -208,13 +218,17 @@ def cmd_diff(args) -> int:
 
 
 def _load_db(inputs: list[str]) -> TransactionDB:
-    """The transactions of each input file and input directory's ``*.txt`` files."""
+    """The transactions of each input file and input directory's ``*.txt`` files,
+    each tagged ``<path> transaction <k>`` by its place in its file."""
     graphs: list[LabeledGraph] = []
+    tags: list[str] = []
     for item in map(Path, inputs):
         for path in sorted(item.glob("*.txt")) if item.is_dir() else [item]:
             with _reading(path), open(path, "r", encoding="utf-8") as fh:
-                graphs.extend(loads_transactions(fh.read()))
-    return TransactionDB.of(graphs)
+                found = loads_transactions(fh.read())
+            graphs += found
+            tags += (f"{path} transaction {k}" for k in range(len(found)))
+    return TransactionDB.of(graphs, tags)
 
 
 def _check_threshold_flags(args) -> None:
@@ -315,11 +329,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    metamodel = (
-        MetaModel.from_json(_read_json(args.metamodel))
-        if args.metamodel
-        else default_metamodel()
-    )
+    metamodel = _read_metamodel(args.metamodel) if args.metamodel else default_metamodel()
     counts = _read_json(args.counts) if args.counts else dict(DEFAULT_INSTANCE_COUNTS)
     core, pert = default_catalogs(both_core_rules=args.rules == "experiment2")
     config = SimConfig(
@@ -327,6 +337,9 @@ def cmd_simulate(args) -> int:
         core_rules=core, perturbations=pert,
         metamodel=metamodel, initial_counts=counts,
     )
+    if args.counts:
+        with _reading(args.counts):
+            check_counts(metamodel, counts)
     bundle = simulate(config)
     save_bundle(bundle, args.out)
     applications = sum(len(rev) for rev in bundle.logs)

@@ -70,11 +70,12 @@ class TransactionDB:
     def __post_init__(self) -> None:
         if len(self.tags) != len(self.transactions):
             raise MinerError("one source tag per transaction required")
-        for idx, txn in enumerate(self.transactions):
+        for idx, (txn, tag) in enumerate(zip(self.transactions, self.tags)):
+            where = f"transaction {idx}" + (f" ({tag})" if tag else "")
             if txn.n_nodes == 0:
-                raise MinerError(f"transaction {idx} is empty")
+                raise MinerError(f"{where} is empty")
             if len(connected_components(txn)) != 1:
-                raise MinerError(f"transaction {idx} is not connected")
+                raise MinerError(f"{where} is not connected")
 
     def __len__(self) -> int:
         return len(self.transactions)

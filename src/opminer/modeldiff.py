@@ -114,8 +114,8 @@ class ModelVersion:
     elements and occurs once, then sorts both; ``from_json`` and
     ``load_model`` build through ``of``. The constructor trusts its caller to
     pass sorted tuples that pass those checks, as ``WorkingModel.snapshot``
-    does. It caches only ``type_map``, for ``validate_against``;
-    ``difference_graph`` builds the reference sets it compares for the call.
+    does. A version caches nothing, and knows no meta-model: conformance is
+    checked by ``WorkingModel(version, metamodel)``.
     """
 
     elements: tuple[tuple[str, str], ...]
@@ -159,37 +159,6 @@ class ModelVersion:
             src, tgt, etype = next(r for r, n in Counter(references).items() if n > 1)
             raise ModelError(f"duplicate reference ({src},{tgt},{etype})")
 
-    @cached_property
-    def type_map(self) -> dict[str, str]:
-        return dict(self.elements)
-
-    def validate_against(self, metamodel: MetaModel) -> None:
-        """Raise ModelError unless types conform and containment forms a forest."""
-        for uid, typ in self.elements:
-            if typ not in metamodel.node_types:
-                raise ModelError(f"element {uid}: unknown type {typ!r}")
-        parent: dict[str, str] = {}
-        for src, tgt, etype in self.references:
-            et = metamodel.edge_type_map.get(etype)
-            if et is None:
-                raise ModelError(f"reference type {etype!r} not in meta-model")
-            if self.type_map[src] != et.src or self.type_map[tgt] != et.tgt:
-                raise ModelError(
-                    f"reference ({src},{tgt},{etype}) violates endpoint types "
-                    f"{et.src}->{et.tgt}"
-                )
-            if et.containment:
-                if tgt in parent:
-                    raise ModelError(f"element {tgt} has two containment parents")
-                parent[tgt] = src
-        for uid in parent:
-            hops, cur = 0, uid
-            while cur in parent:
-                cur = parent[cur]
-                hops += 1
-                if hops > len(parent):
-                    raise ModelError("containment cycle detected")
-
     def to_json(self) -> dict:
         return {
             "elements": [{"uid": u, "type": t} for u, t in self.elements],
@@ -216,8 +185,11 @@ class WorkingModel:
     to the uids at the other end; ``incident`` references per element; and,
     under a meta-model, the containment ``parent`` of each contained element.
     Each delta is checked only where it touches the model, for everything
-    ``ModelVersion.of`` and ``validate_against`` check on a whole model; the
-    start model is one delta on the empty model, so it is checked whole.
+    ``ModelVersion.of`` checks on a whole model and, under the meta-model, for
+    conformance: known element and reference types, endpoint types, at most
+    one containment parent per element and no containment cycle. The start
+    model is one delta on the empty model, so it is checked whole; this is the
+    program's one conformance check.
     """
 
     def __init__(self, model: ModelVersion, metamodel: MetaModel | None = None) -> None:
@@ -355,7 +327,7 @@ class WorkingModel:
     def snapshot(self) -> ModelVersion:
         """The current model as a ``ModelVersion``. Trusted: every delta that
         built it passed the checks of ``ModelVersion.of`` and, under the
-        meta-model, ``validate_against``, so they are not run again."""
+        meta-model, of conformance, so they are not run again."""
         return ModelVersion(tuple(sorted(self.type_map.items())), tuple(sorted(self.references)))
 
 
@@ -494,14 +466,13 @@ class DifferenceGraph:
 
 
 def difference_graph(old: ModelVersion, new: ModelVersion) -> DifferenceGraph:
-    """Unified graph over both versions with preserved_/create_/delete_ labels.
+    """What changed from ``old`` to ``new``, as a ``DifferenceGraph``.
 
-    Corresponding elements appear once; every element of either version
-    appears exactly once. Node ids follow the rule of ``DifferenceGraph``.
-    Only what changed is found here, by set differences of the two versions'
-    elements and references, built for the call and not kept on either
-    version; a reference of both versions with a retyped end is deleted and
-    re-created with it.
+    The deleted and created elements and references are the set differences
+    of the two versions' elements and references, built for the call and not
+    kept on either version; a reference of both versions with a retyped end
+    is deleted and re-created with it. The preserved part is not listed: it
+    is ``old`` less what was deleted.
     """
     old_elements, new_elements = frozenset(old.elements), frozenset(new.elements)
     deleted = tuple(sorted(old_elements - new_elements))

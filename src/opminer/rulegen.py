@@ -19,9 +19,7 @@ from .modeldiff import (
     CREATE,
     DELETE,
     PRESERVED,
-    MetaModel,
     ModelError,
-    ModelVersion,
     WorkingModel,
     split_prefix,
 )
@@ -178,21 +176,17 @@ def _binding_valid(rule: EditRule, model: WorkingModel, binding: Mapping[int, st
 
 
 def find_bindings(
-    rule: EditRule,
-    model: ModelVersion | WorkingModel,
-    fixed: Mapping[int, str] | None = None,
+    rule: EditRule, model: WorkingModel, fixed: Mapping[int, str] | None = None
 ) -> Iterator[dict[int, str]]:
     """Enumerate all valid bindings, in a deterministic order.
 
     Slots are ordered most-constrained-first along deleted-edge adjacency, and
     candidates for a slot adjacent to a placed one are read off the working
     model's reference indexes, so edge-constrained rules stay cheap on large
-    models. A ``ModelVersion`` is wrapped in a ``WorkingModel`` first; a
-    working model must not change while the bindings are consumed. ``fixed``
-    pre-binds some slots, restricting the enumeration to their completions.
+    models. The model must not change while the bindings are consumed.
+    ``fixed`` pre-binds some slots, restricting the enumeration to their
+    completions.
     """
-    if isinstance(model, ModelVersion):
-        model = WorkingModel(model)
     slots = dict(_binding_nodes(rule))
     by_type = model.by_type
 
@@ -245,14 +239,16 @@ def find_bindings(
     yield from backtrack(0)
 
 
-def _sample_binding(
-    rule: EditRule, model: WorkingModel, rng, max_tries: int = 400
-) -> dict[int, str] | None:
+#: proposals ``_sample_binding`` rejects before it enumerates every binding
+_MAX_TRIES = 400
+
+
+def _sample_binding(rule: EditRule, model: WorkingModel, rng) -> dict[int, str] | None:
     """Uniform random valid binding, or None when none exists.
 
     Rejection sampling from the uniform proposal over per-slot candidates is
     exactly uniform over the valid set; exhaustive enumeration decides the
-    empty case after repeated rejections.
+    empty case after ``_MAX_TRIES`` rejections.
     """
     slots = _binding_nodes(rule)
     candidates = []
@@ -261,7 +257,7 @@ def _sample_binding(
         if not pool:
             return None
         candidates.append(pool)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         binding = {rid: rng.choice(pool) for (rid, _), pool in zip(slots, candidates)}
         if _binding_valid(rule, model, binding):
             return binding
@@ -340,39 +336,6 @@ def apply_in_place(
         created=tuple(sorted(fresh.items())),
         deleted=tuple(sorted(deleted_uids)),
     )
-
-
-def apply_with_record(
-    rule: EditRule,
-    model: ModelVersion,
-    site: Mapping[int, str] | str = "random",
-    seed: int = 0,
-    metamodel: MetaModel | None = None,
-) -> tuple[ModelVersion, ApplicationRecord]:
-    """Apply a rule to a model version and report what happened; ``apply``
-    discards the record.
-
-    Wraps ``model`` in a ``WorkingModel`` under ``metamodel`` (checking
-    conformance only when one is given), applies the rule with
-    ``apply_in_place`` and returns the resulting version; the input is not
-    changed. A ``model`` that does not conform raises ConformanceError.
-    """
-    try:
-        working = WorkingModel(model, metamodel)
-    except ModelError as exc:
-        raise ConformanceError(f"rule {rule.name!r}: {exc}") from exc
-    record = apply_in_place(rule, working, site, seed)
-    return working.snapshot(), record
-
-
-def apply(
-    rule: EditRule,
-    model: ModelVersion,
-    site: Mapping[int, str] | str = "random",
-    seed: int = 0,
-    metamodel: MetaModel | None = None,
-) -> ModelVersion:
-    return apply_with_record(rule, model, site, seed, metamodel)[0]
 
 
 def to_dot(rule: EditRule) -> str:

@@ -171,14 +171,16 @@ def check_counts(metamodel: MetaModel, counts: Mapping[str, int]) -> None:
 def build_initial(
     metamodel: MetaModel, counts: Mapping[str, int], seed: int
 ) -> ModelVersion:
-    """Conformant random instance with exact per-type counts, seeded.
+    """Random instance with exact per-type counts, seeded.
 
     Wiring policy: every non-Package element gets one containment parent
     chosen uniformly; Connectors reference two distinct Ports via end edges;
     each SwImplementation is implemented by a random Component; each
     Requirement satisfies a random Connector. Unknown types only receive a
     containment parent (first matching containment edge type). ``counts``
-    must map type names to non-negative integers.
+    must map type names to non-negative integers. The instance conforms to a
+    meta-model whose end, implementation and satisfies edge types join the
+    types above; ``simulate`` checks it once, as its working model.
     """
     rng = Random(seed)
     check_counts(metamodel, counts)
@@ -232,12 +234,7 @@ def build_initial(
         (tgt, src, et) if et == "implementation" else (src, tgt, et)
         for src, tgt, et in references
     ]
-    model = ModelVersion.of(elements, set(references))
-    try:
-        model.validate_against(metamodel)
-    except ModelError as exc:
-        raise SimError(f"generated instance does not conform: {exc}") from exc
-    return model
+    return ModelVersion.of(elements, set(references))
 
 
 @dataclass(frozen=True)
@@ -363,7 +360,8 @@ def simulate(config: SimConfig) -> RepoBundle:
     Every application changes one ``WorkingModel`` in place, checked for
     conformance where it touches the model; each revision's version is a
     snapshot of it, trusted without a second check of the whole model (see
-    ``WorkingModel.snapshot``). Site exhaustion never fails the run:
+    ``WorkingModel.snapshot``). A generated instance that does not conform
+    raises SimError. Site exhaustion never fails the run:
     the application is recorded as skipped with a warning. A rule that would
     break conformance raises ConformanceError. Replaying the logs from m0
     reproduces every version exactly.
@@ -375,7 +373,10 @@ def simulate(config: SimConfig) -> RepoBundle:
     skipped = 0
     app_counter = itertools.count()
 
-    model = WorkingModel(initial, config.metamodel)
+    try:
+        model = WorkingModel(initial, config.metamodel)
+    except ModelError as exc:
+        raise SimError(f"generated instance does not conform: {exc}") from exc
     for _rev in range(config.d):
         rev_log: list[LoggedApplication] = []
         for _app in range(config.e):

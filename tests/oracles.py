@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: union-find for components,
 permutation search for isomorphism, exhaustive enumeration for embeddings,
-connected subgraphs, frequent and closed patterns. None of it shares code
-with the library paths it verifies. ``induced`` and ``relabel_ids`` are
+connected subgraphs, frequent and closed patterns, a whole-model walk for
+meta-model conformance. None of it shares code with the library paths it
+verifies. ``induced`` and ``relabel_ids`` are
 graph helpers for the tests.
 """
 
@@ -14,7 +15,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from opminer.graphcore import LabeledGraph
-from opminer.modeldiff import ChangeGraph
+from opminer.modeldiff import ChangeGraph, ModelError
 
 
 class UnionFind:
@@ -352,3 +353,40 @@ def scg_oracle(dg):
     keep = changed_nodes | {n for s, d, _ in changed_edges for n in (s, d)}
     labels = dict(g.nodes)
     return dg.restrict(LabeledGraph.of([(n, labels[n]) for n in keep], changed_edges))
+
+
+def conformance_oracle(model, metamodel) -> None:
+    """Raise ModelError unless the whole ``model`` conforms to ``metamodel``.
+
+    Every element type first, in element order; then each reference in order:
+    a known type, endpoint types, at most one containment parent for its
+    target; last, from each contained element, a walk up its containment
+    parents that must end within as many hops as there are contained
+    elements. The messages are ``WorkingModel``'s, so its check of a start
+    model raises the same one.
+    """
+    types = dict(model.elements)
+    for uid, typ in model.elements:
+        if typ not in metamodel.node_types:
+            raise ModelError(f"element {uid}: unknown type {typ!r}")
+    edge_types = {et.name: et for et in metamodel.edge_types}
+    parent: dict[str, str] = {}
+    for src, tgt, etype in model.references:
+        et = edge_types.get(etype)
+        if et is None:
+            raise ModelError(f"reference type {etype!r} not in meta-model")
+        if types[src] != et.src or types[tgt] != et.tgt:
+            raise ModelError(
+                f"reference ({src},{tgt},{etype}) violates endpoint types {et.src}->{et.tgt}"
+            )
+        if et.containment:
+            if tgt in parent:
+                raise ModelError(f"element {tgt} has two containment parents")
+            parent[tgt] = src
+    for uid in parent:
+        hops, cur = 0, uid
+        while cur in parent:
+            cur = parent[cur]
+            hops += 1
+            if hops > len(parent):
+                raise ModelError("containment cycle detected")

@@ -185,14 +185,17 @@ DENSE = dumps_transactions(
 )
 
 # (case, input file text or "scg" for the fig-pair database or None for a
-# missing file, environment, extra arguments, documented exit code); in the
-# extra arguments "{absent}" names an absent directory and "{tmp}" the test's
-# directory, and a second --out replaces the default one
+# missing file or a dict of input files by name, given in its order,
+# environment, extra arguments, documented exit code); in the extra arguments
+# "{absent}" names an absent directory and "{tmp}" the test's directory, and a
+# second --out replaces the default one
 MINE_EXIT_CODES = [
     ("ok", "scg", {}, ["--threshold", "3"], 0),
     ("missing input", None, {}, [], 2),
     ("malformed transaction", "t # 0\nv 0\n", {}, [], 2),
     ("disconnected transaction", "t # 0\nv 0 a\nv 1 b\n", {}, [], 2),
+    ("disconnected transaction in a second input",
+     {"good.txt": "t # 0\nv 0 a\n", "disc.txt": "t # 0\nv 0 a\nv 1 b\n"}, {}, [], 2),
     ("non-numeric budget", "scg", {"OPMINER_TIME_BUDGET_S": "abc"}, [], 2),
     ("budget not a number", "scg", {"OPMINER_TIME_BUDGET_S": "nan"}, ["--threshold", "3"], 2),
     ("budget flag not a number", "scg", {}, ["--threshold", "3", "--time-budget", "nan"], 2),
@@ -221,24 +224,34 @@ MINE_EXIT_CODES = [
      {"OPMINER_TIME_BUDGET_S": "0"}, ["--out", "{absent}/r.json"], 2),
 ]
 
+# case -> the whole stderr it prints, "{tmp}" naming the test's directory
+MINE_ERROR_LINES = {
+    "disconnected transaction in a second input":
+        "error: transaction 1 ({tmp}/disc.txt transaction 0) is not connected\n",
+}
+
 
 @pytest.mark.parametrize(
-    "text, env, extra, expected", [row[1:] for row in MINE_EXIT_CODES],
-    ids=[row[0] for row in MINE_EXIT_CODES],
+    "case, text, env, extra, expected", MINE_EXIT_CODES, ids=[row[0] for row in MINE_EXIT_CODES],
 )
-def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
-    source = tmp_path / "input.txt"
+def test_mine_exit_codes(tmp_path, scg_file, case, text, env, extra, expected):
+    sources = [tmp_path / "input.txt"]
     if text == "scg":
-        source = scg_file
+        sources = [scg_file]
+    elif isinstance(text, dict):
+        sources = [tmp_path / name for name in text]
+        for source, file_text in zip(sources, text.values()):
+            source.write_text(file_text, encoding="utf-8")
     elif text is not None:
-        source.write_text(text, encoding="utf-8")
+        sources[0].write_text(text, encoding="utf-8")
     out = tmp_path / "ranked.json"
     run_env = {k: v for k, v in os.environ.items() if k != "OPMINER_TIME_BUDGET_S"}
     run_env.update(env, PYTHONPATH=str(SRC_DIR))
     extra = [arg.format(absent=tmp_path / "absent", tmp=tmp_path) for arg in extra]
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "opminer.cli", "mine", str(source), "--out", str(out), *extra],
+        [sys.executable, "-m", "opminer.cli", "mine", *map(str, sources), "--out", str(out),
+         *extra],
         env=run_env, capture_output=True, text=True, timeout=120,
     )
     elapsed = time.monotonic() - start
@@ -253,14 +266,16 @@ def test_mine_exit_codes(tmp_path, scg_file, text, env, extra, expected):
             assert patterns and all(("parents" in p) is (expected == 0) for p in patterns)
     else:
         assert proc.stderr.startswith("error: ")
+    if case in MINE_ERROR_LINES:
+        assert proc.stderr == MINE_ERROR_LINES[case].format(tmp=tmp_path)
 
 
-def metamodel_text(**containment) -> str:
-    """The fixture meta-model document, with the ``containment`` value of each
-    edge type named in ``containment`` replaced."""
+def metamodel_text(field="containment", **values) -> str:
+    """The fixture meta-model document, with the ``field`` value of each edge
+    type named in ``values`` replaced."""
     doc = FIXTURE_METAMODEL.to_json()
     for edge in doc["edgeTypes"]:
-        edge["containment"] = containment.get(edge["name"], edge["containment"])
+        edge[field] = values.get(edge["name"], edge[field])
     return json.dumps(doc)
 
 
@@ -281,14 +296,23 @@ SIMULATE_EXIT_CODES = [
     ("ok with a meta-model", json.dumps(SMALL_COUNTS), metamodel_text(), "bundle", 0),
     ("containment a string", json.dumps(SMALL_COUNTS), metamodel_text(port="true"), "bundle", 2),
     ("containment an integer", json.dumps(SMALL_COUNTS), metamodel_text(port=1), "bundle", 2),
+    ("generated instance does not conform", json.dumps(SMALL_COUNTS),
+     metamodel_text("tgt", end="Component"), "bundle", 2),
 ]
+
+# case -> the whole stderr it prints
+SIMULATE_ERROR_LINES = {
+    "generated instance does not conform":
+        "error: generated instance does not conform: reference (Connector-0,Port-0,end) "
+        "violates endpoint types Connector->Component\n",
+}
 
 
 @pytest.mark.parametrize(
-    "text, mm, out, expected", [row[1:] for row in SIMULATE_EXIT_CODES],
+    "case, text, mm, out, expected", SIMULATE_EXIT_CODES,
     ids=[row[0] for row in SIMULATE_EXIT_CODES],
 )
-def test_simulate_exit_codes(tmp_path, text, mm, out, expected):
+def test_simulate_exit_codes(tmp_path, case, text, mm, out, expected):
     counts = tmp_path / "counts.json"
     if text is not None:
         counts.write_text(text, encoding="utf-8")
@@ -309,6 +333,8 @@ def test_simulate_exit_codes(tmp_path, text, mm, out, expected):
     assert (tmp_path / out / "m1.json").exists() is (expected == 0)
     if expected == 2:
         assert proc.stderr.startswith("error: ")
+    if case in SIMULATE_ERROR_LINES:
+        assert proc.stderr == SIMULATE_ERROR_LINES[case]
 
 
 def run_cli(args, tmp_path, doc):
@@ -616,9 +642,10 @@ def test_report_exit_codes(tmp_path, text, expected):
 # (case, arguments, the input file that the error line names), run in a
 # directory that holds the fig_files models old.json and new.json, a file F
 # that is not UTF-8 text, a file bad.json holding "{", a model int-type.json
-# with an integer element type, a transaction file bad.txt with an unknown
-# record, a valid one good.txt and a directory scg holding a valid a.txt and
-# an invalid b.txt
+# with an integer element type, a meta-model string-types.json whose node
+# types are a string, a counts file negative.json with a negative count, a
+# transaction file bad.txt with an unknown record, a valid one good.txt and a
+# directory scg holding a valid a.txt and an invalid b.txt
 SIMULATE = ["simulate", "--d", "1", "--e", "1", "--p", "0", "--seed", "1", "--out", "bundle"]
 BAD_INPUT_FILE_FORMS = [
     ("mine", ["mine", "F", "--out", "r.json"], "F"),
@@ -637,6 +664,12 @@ BAD_INPUT_FILE_FORMS = [
      "bad.json"),
     ("diff new model with an integer type",
      ["diff", "old.json", "int-type.json", "--out", "scg.txt"], "int-type.json"),
+    ("diff meta-model with string node types",
+     ["diff", "old.json", "new.json", "--metamodel", "string-types.json", "--out", "scg.txt"],
+     "string-types.json"),
+    ("simulate meta-model with string node types",
+     SIMULATE + ["--metamodel", "string-types.json"], "string-types.json"),
+    ("simulate negative count", SIMULATE + ["--counts", "negative.json"], "negative.json"),
     ("eval grid malformed json", ["eval", "--grid", "bad.json", "--out", "runs"], "bad.json"),
     ("mine bad record", ["mine", "bad.txt", "--out", "r.json"], "bad.txt"),
     ("mine bad second input", ["mine", "good.txt", "bad.txt", "--out", "r.json"], "bad.txt"),
@@ -649,13 +682,18 @@ BAD_INPUT_FILE_FORMS = [
     ids=[row[0] for row in BAD_INPUT_FILE_FORMS],
 )
 def test_input_file_not_utf8_exits_2(tmp_path, fig_files, args, named):
-    """An input file that cannot be decoded as UTF-8 text, or parsed, is an
-    input error, exit 2, and the error line names it."""
+    """An input file that cannot be decoded as UTF-8 text, or parsed, or whose
+    document has the wrong structure, is an input error, exit 2, and the error
+    line names it."""
     (tmp_path / "F").write_bytes(b"\xff\xfe{}\n")
     (tmp_path / "bad.json").write_text("{", encoding="utf-8")
     (tmp_path / "int-type.json").write_text(
         json.dumps({"elements": [{"uid": "a", "type": 5}], "references": []}), encoding="utf-8"
     )
+    (tmp_path / "string-types.json").write_text(
+        json.dumps({"nodeTypes": "AB", "edgeTypes": []}), encoding="utf-8"
+    )
+    (tmp_path / "negative.json").write_text(json.dumps({"Package": -1}), encoding="utf-8")
     (tmp_path / "good.txt").write_text(PORT, encoding="utf-8")
     (tmp_path / "bad.txt").write_text(PORT + "x\n", encoding="utf-8")
     (tmp_path / "scg").mkdir()

@@ -30,7 +30,13 @@ from fixtures import (
     fig_pair,
     working_view,
 )
-from oracles import components_oracle, difference_graph_oracle, induced, scg_oracle
+from oracles import (
+    components_oracle,
+    conformance_oracle,
+    difference_graph_oracle,
+    induced,
+    scg_oracle,
+)
 from test_graphcore import JSON_TEXT, stdlib_json
 
 
@@ -83,11 +89,16 @@ class TestModelVersion:
             ModelVersion.of([("a", "T")], [("a", "b", "r")])
 
     def test_conformance(self):
+        """A version's conformance is checked by a working model built from it."""
         old, new = fig_pair()
-        new.validate_against(FIXTURE_METAMODEL)
+        conformance_oracle(new, FIXTURE_METAMODEL)
+        WorkingModel(new, FIXTURE_METAMODEL)
         bad = ModelVersion.of([("a", "Component"), ("b", "Component")], [("a", "b", "end")])
-        with pytest.raises(ModelError):
-            bad.validate_against(FIXTURE_METAMODEL)
+        message = r"reference \(a,b,end\) violates endpoint types Connector->Port"
+        with pytest.raises(ModelError, match=message):
+            conformance_oracle(bad, FIXTURE_METAMODEL)
+        with pytest.raises(ModelError, match=message):
+            WorkingModel(bad, FIXTURE_METAMODEL)
 
     def test_containment_is_a_forest(self):
         two_parents = ModelVersion.of(
@@ -95,7 +106,9 @@ class TestModelVersion:
             [("p", "c", "contains_component"), ("q", "c", "contains_component")],
         )
         with pytest.raises(ModelError, match="two containment parents"):
-            two_parents.validate_against(FIXTURE_METAMODEL)
+            conformance_oracle(two_parents, FIXTURE_METAMODEL)
+        with pytest.raises(ModelError, match="two containment parents"):
+            WorkingModel(two_parents, FIXTURE_METAMODEL)
 
     def test_json_round_trip(self):
         _, new = fig_pair()
@@ -385,7 +398,8 @@ class TestDeltaSimpleChangeGraph:
                 assert comp == scg.restrict(comp.graph)
             kept = {uid for _, (uid, origin) in reference.provenance if origin == "both"}
             seen["empty"] += not old.elements or not new.elements
-            seen["retyped"] += any(new.type_map.get(u, t) != t for u, t in old.elements)
+            new_types = dict(new.elements)
+            seen["retyped"] += any(new_types.get(u, t) != t for u, t in old.elements)
             shared = frozenset(old.references) & frozenset(new.references)
             seen["retyped end"] += any(not {r[0], r[1]} <= kept for r in shared)
             changed = frozenset(old.references) ^ frozenset(new.references)
@@ -512,7 +526,7 @@ class TestMetaModelJson:
 def random_delta(rng: random.Random, model: ModelVersion, step: int):
     """Removals and additions of any kind: absent, dangling, duplicate,
     self-referencing, mistyped, unknown, re-parenting and cycle-closing ones."""
-    uids = sorted(model.type_map)
+    uids = [uid for uid, _ in model.elements]
     refs = sorted(model.references)
     gone = set(rng.sample(uids, rng.choice([0, 0, 1, 2])))
     cut = {r for r in refs if r[0] in gone or r[1] in gone}
@@ -532,7 +546,7 @@ def random_delta(rng: random.Random, model: ModelVersion, step: int):
     ends = [u for u in uids if u not in gone] + [u for u, _ in added]
     if rng.random() < 0.05:
         ends.append("ghost")
-    type_of = {**model.type_map, **dict(added)}
+    type_of = {**dict(model.elements), **dict(added)}
     new_refs = []
     for _ in range(rng.randint(0, 4)):
         et = rng.choice(NESTING_METAMODEL.edge_types)
@@ -556,8 +570,9 @@ def random_delta(rng: random.Random, model: ModelVersion, step: int):
 class TestWorkingModel:
     def test_deltas_match_whole_model_validation(self):
         """A delta raises ModelError exactly when its removals are absent or the
-        rebuilt model fails ``ModelVersion`` or ``validate_against``; otherwise
-        the working model and its indexes equal those built from the result."""
+        rebuilt model fails ``ModelVersion.of`` or ``conformance_oracle``;
+        otherwise the working model and its indexes equal those built from the
+        result."""
         accepted = rejected = 0
         for seed in range(30):
             rng = random.Random(seed)
@@ -566,13 +581,14 @@ class TestWorkingModel:
             for step in range(20):
                 gone, cut, added, new_refs = random_delta(rng, model, step)
                 try:
-                    if not (gone <= set(model.type_map) and cut <= frozenset(model.references)):
+                    if not (gone <= {uid for uid, _ in model.elements}
+                            and cut <= frozenset(model.references)):
                         raise ModelError("removes what is absent")
                     expected = ModelVersion.of(
                         [e for e in model.elements if e[0] not in gone] + added,
                         [r for r in model.references if r not in cut] + new_refs,
                     )
-                    expected.validate_against(NESTING_METAMODEL)
+                    conformance_oracle(expected, NESTING_METAMODEL)
                 except ModelError:
                     expected = None
                 try:
@@ -588,6 +604,37 @@ class TestWorkingModel:
                 fresh = WorkingModel(model, NESTING_METAMODEL)
                 assert working_view(working) == working_view(fresh)
         assert accepted >= 100 and rejected >= 100, (accepted, rejected)
+
+    def test_whole_model_check_matches_oracle(self):
+        """A working model built from a whole version raises the oracle's first
+        violation, message for message, or nothing when the oracle passes."""
+        seen = Counter()
+        for seed in range(30):
+            rng = random.Random(seed)
+            start = build_initial(default_metamodel(), SMALL_COUNTS, seed)
+            for step in range(20):
+                gone, cut, added, new_refs = random_delta(rng, start, step)
+                try:
+                    model = ModelVersion.of(
+                        [e for e in start.elements if e[0] not in gone] + added,
+                        [r for r in start.references if r not in cut] + new_refs,
+                    )
+                except ModelError:
+                    continue
+                try:
+                    conformance_oracle(model, NESTING_METAMODEL)
+                    expected = None
+                except ModelError as exc:
+                    expected = str(exc)
+                try:
+                    WorkingModel(model, NESTING_METAMODEL)
+                    got = None
+                except ModelError as exc:
+                    got = str(exc)
+                assert got == expected, (seed, step)
+                seen[(expected or "conforms").split(" ")[0]] += 1
+        assert all(seen[kind] >= 10 for kind in
+                   ("conforms", "element", "reference", "containment")), seen
 
     def test_start_model_must_conform(self):
         model = ModelVersion.of(

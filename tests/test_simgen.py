@@ -23,6 +23,7 @@ from opminer.simgen import (
     save_bundle,
     simulate,
 )
+from oracles import conformance_oracle
 
 MM = default_metamodel()
 
@@ -83,7 +84,7 @@ class TestBuildInitial:
         for _, typ in m.elements:
             by_type[typ] = by_type.get(typ, 0) + 1
         assert by_type == DEFAULT_INSTANCE_COUNTS
-        m.validate_against(MM)
+        conformance_oracle(m, MM)
 
     def test_all_zero_spec(self):
         m = build_initial(MM, {}, seed=1)
